@@ -13,19 +13,19 @@ cover the broken combination. Rule families:
 - ``determinism``  — unseeded RNGs, wall-clock reads, set-order
 - ``hotpath``      — per-access work creeping back into replay loops
 - ``kernels``      — replay-kernel dispatch coverage and loop hygiene
-- ``abi``          — cross-language kernel ABI and constant parity
-  (``kernels.c`` vs ``ckernels._SIGNATURES`` vs ``kernels.py`` call
-  sites, plus the shared-constants registry and the C dialect rules)
 - ``spec-coverage`` — experiment specs vs the registries they name
 - ``par``          — worker purity for process-parallel sweep workers
 - ``dtype``        — flow-based numpy dtype/width inference against the
   declared capacity contracts (``sim/constants.py:WIDTH_CONTRACTS``)
-  and the C kernel boundary
+
+The C kernel boundary needs no family: ``sim/ckernels.py`` generates
+the C prototypes and shared constants from one Python table, so ABI
+drift fails the kernel build (reported on the ``ckernels:`` status
+line every run prints).
 
 See :mod:`repro.analysis.runner` for the CLI and
-``# simlint: allow[rule]`` pragmas for intentional exceptions (the same
-pragma works in C comments for ``kernels.c`` findings; pragmas naming
-unknown rules are themselves flagged).
+``# simlint: allow[rule]`` pragmas for intentional exceptions (pragmas
+naming unknown rules are themselves flagged).
 """
 
 from .findings import Finding, format_findings

@@ -2,17 +2,13 @@
 
 P-OPT's correctness is a bit-width story — 8/16-bit Rereference Matrix
 entries, epoch counters quantized to ``2^entry_bits``, ``int64`` next-use
-sentinels, ``int32`` CSR neighbor IDs — and every compiled-kernel call
-marshals numpy buffers across a ctypes boundary where a width mismatch
-is silent memory corruption, not an exception. These rules put the
-dtype story under the same static discipline the ``abi`` family applies
-to the C prototypes, using the :mod:`repro.analysis.dtypeflow`
-inference engine:
+sentinels, ``int32`` CSR neighbor IDs — where a width mismatch wraps
+silently instead of raising. These rules put the dtype story under
+static discipline, using the :mod:`repro.analysis.dtypeflow` inference
+engine. (Arrays crossing into the compiled kernels need no rule: the
+``_i64``/``_u8``/``_f64`` wrappers in :mod:`repro.sim.kernels` refuse a
+wrong dtype or a strided view at the call.)
 
-- ``dtype-c-boundary`` — the array handed to a pointer wrapper
-  (``_i64``/``_u8``/``_f64``) at a ``clib.k_*`` call site must have the
-  wrapper's dtype. The ``abi`` family proves the *table* consistent;
-  this rule proves the *arrays actually passed* match the table.
 - ``dtype-overflow`` — a store of a provably-wider unguarded integer
   into a narrower integer array (or into a field bound by
   :data:`repro.sim.constants.WIDTH_CONTRACTS`), and unguarded
@@ -29,9 +25,9 @@ inference engine:
   ``np.full`` with an integer fill, bare ``np.bincount``): 64-bit on
   the measurement hosts, 32-bit elsewhere, so goldens silently fork.
 
-Scope: ``dtype-c-boundary``, ``dtype-overflow`` and
-``dtype-narrowing-cast`` apply everywhere (they fire only on *proved*
-dtypes); the memory/portability rules (``dtype-implicit-upcast``,
+Scope: ``dtype-overflow`` and ``dtype-narrowing-cast`` apply
+everywhere (they fire only on *proved* dtypes); the memory/portability
+rules (``dtype-implicit-upcast``,
 ``dtype-unspecified``) are confined to replay/prepare code — functions
 that are worker-reachable (via the ``par`` family's call graph), on the
 configured replay path, or in the ``sim``/``popt``/``graph``
@@ -43,9 +39,10 @@ Suppression is the standard ``# simlint: allow[dtype-...]`` pragma.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
-from .abi import _WRAPPER_KINDS, _constants_env, _sim_module
 from .astutil import SourceModule, dotted_name, pragma_allows
 from .dtypeflow import (
     DtypeFlow,
@@ -62,20 +59,11 @@ from .purity import CallGraph, FunctionInfo
 __all__ = ["DTYPE_RULES", "check_dtypes", "dtype_status_lines"]
 
 DTYPE_RULES = (
-    "dtype-c-boundary",
     "dtype-implicit-upcast",
     "dtype-narrowing-cast",
     "dtype-overflow",
     "dtype-unspecified",
 )
-
-#: Pointer-wrapper kind -> numpy dtypes allowed through it. ``u8``
-#: additionally admits ``bool`` (same 1-byte layout; C reads 0/1).
-_WRAPPER_DTYPES: Dict[str, Tuple[str, ...]] = {
-    "i64": ("int64",),
-    "u8": ("uint8", "bool"),
-    "f64": ("float64",),
-}
 
 #: Subpackages whose modules count as replay/prepare scope even without
 #: worker reachability (the simulator core).
@@ -83,6 +71,101 @@ _PREPARE_DIRS = frozenset({"sim", "popt", "graph"})
 
 #: Accumulating in-place ops that can saturate a narrow counter.
 _ACCUMULATING_OPS = (ast.Add, ast.Sub, ast.Mult, ast.LShift, ast.Pow)
+
+
+# ----------------------------------------------------------------------
+# Static evaluation of sim/constants.py (no code from the scanned tree
+# is executed)
+# ----------------------------------------------------------------------
+
+def _sim_module(
+    modules: Iterable[SourceModule], name: str
+) -> Optional[SourceModule]:
+    for module in modules:
+        parts = module.path.parts
+        if module.path.name == name and len(parts) >= 2 \
+                and parts[-2] == "sim":
+            return module
+    return None
+
+
+def _module_assigns(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            yield node.targets[0].id, node.value
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name) \
+                and node.value is not None:
+            yield node.target.id, node.value
+
+
+_BINOPS = {
+    ast.Add: lambda a, b: a + b,
+    ast.Sub: lambda a, b: a - b,
+    ast.Mult: lambda a, b: a * b,
+    ast.FloorDiv: lambda a, b: a // b,
+    ast.Mod: lambda a, b: a % b,
+    ast.LShift: lambda a, b: a << b,
+    ast.RShift: lambda a, b: a >> b,
+    ast.BitOr: lambda a, b: a | b,
+    ast.BitAnd: lambda a, b: a & b,
+    ast.BitXor: lambda a, b: a ^ b,
+    ast.Div: lambda a, b: a / b,
+}
+
+_MISSING = object()
+
+
+def _eval_static(node: ast.AST, env: Dict[str, object]) -> object:
+    """Evaluate module-level constant expressions (no names executed)."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env.get(node.id, _MISSING)
+    if isinstance(node, ast.Tuple):
+        elts = [_eval_static(e, env) for e in node.elts]
+        return _MISSING if _MISSING in elts else tuple(elts)
+    if isinstance(node, ast.Dict):
+        out = {}
+        for key, value in zip(node.keys, node.values):
+            if key is None:
+                return _MISSING
+            k = _eval_static(key, env)
+            v = _eval_static(value, env)
+            if k is _MISSING or v is _MISSING:
+                return _MISSING
+            out[k] = v
+        return out
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        left = _eval_static(node.left, env)
+        right = _eval_static(node.right, env)
+        if left is _MISSING or right is _MISSING:
+            return _MISSING
+        try:
+            return _BINOPS[type(node.op)](left, right)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return _MISSING
+    if isinstance(node, ast.UnaryOp):
+        operand = _eval_static(node.operand, env)
+        if operand is _MISSING:
+            return _MISSING
+        if isinstance(node.op, ast.USub):
+            return -operand  # type: ignore[operator]
+        if isinstance(node.op, ast.Invert):
+            return ~operand  # type: ignore[operator]
+        return _MISSING
+    return _MISSING
+
+
+def _constants_env(module: SourceModule) -> Dict[str, object]:
+    """Module-level constants of ``module``, statically evaluated."""
+    env: Dict[str, object] = {}
+    for name, value in _module_assigns(module.tree):
+        result = _eval_static(value, env)
+        if result is not _MISSING:
+            env[name] = result
+    return env
 
 
 def _load_contracts(
@@ -222,7 +305,7 @@ def _creation_trap(
 
 
 class _DtypeChecker:
-    """One pass over every function, all five rules in one flow walk."""
+    """One pass over every function, all four rules in one flow walk."""
 
     def __init__(
         self,
@@ -298,7 +381,6 @@ class _DtypeChecker:
             self._check_stores(module, qualname, stmt, env, infer)
             for node in _walk_expressions(stmt):
                 if isinstance(node, ast.Call):
-                    self._check_boundary(module, qualname, node, infer)
                     self._check_narrowing(module, qualname, node, infer)
                     if prepare:
                         self._check_unspecified(module, qualname, node)
@@ -306,28 +388,6 @@ class _DtypeChecker:
                     self._check_upcast(module, qualname, node, infer)
 
         self.flow.scan_function(module, func, callback, class_name)
-
-    # -- dtype-c-boundary ----------------------------------------------
-
-    def _check_boundary(
-        self, module: SourceModule, qualname: str, call: ast.Call, infer
-    ) -> None:
-        func = call.func
-        if not (isinstance(func, ast.Name)
-                and func.id in _WRAPPER_KINDS and len(call.args) == 1):
-            return
-        kind = _WRAPPER_KINDS[func.id]
-        allowed = _WRAPPER_DTYPES.get(kind, ())
-        value: Value = infer(call.args[0])
-        if value.dtype is None or value.dtype in allowed:
-            return
-        self._emit(
-            module, "dtype-c-boundary", call.lineno,
-            f"{qualname} passes a {value.dtype} array through "
-            f"{func.id}() (pointer kind {kind}); the kernel ABI "
-            f"expects {' or '.join(allowed)} — ctypes will marshal "
-            f"the wrong element width silently",
-        )
 
     # -- dtype-narrowing-cast ------------------------------------------
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence
 
-from .abi import ABI_RULES, check_abi
 from .astutil import _PRAGMA, SourceModule, iter_python_files, load_module
 from .contract import check_policy_contracts
 from .determinism import check_determinism
@@ -32,7 +31,7 @@ from .speccov import check_spec_coverage
 __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
-    "policy", "determinism", "hotpath", "registry", "kernels", "abi",
+    "policy", "determinism", "hotpath", "registry", "kernels",
     "spec-coverage", "par", "dtype",
 )
 
@@ -64,7 +63,6 @@ KNOWN_RULES = frozenset(
         "spec-coverage-registry",
     )
     + PAR_RULES
-    + ABI_RULES
     + DTYPE_RULES
     + RULE_FAMILIES
 )
@@ -160,8 +158,6 @@ def run_simlint(
         findings.extend(check_registry(modules))
     if "kernels" in families:
         findings.extend(check_kernels(modules))
-    if "abi" in families:
-        findings.extend(check_abi(modules, set(KNOWN_RULES)))
     if "spec-coverage" in families:
         findings.extend(check_spec_coverage(modules))
     if "par" in families:
@@ -179,8 +175,8 @@ def _stable_findings(findings: Sequence[Finding]) -> List[Finding]:
     so exact duplicates collapse through the set and the total sort
     makes multi-family output byte-stable regardless of family
     execution order — CI diffs never churn on ordering. Findings that
-    differ only in message (e.g. one ``abi-signature`` per mismatched
-    argument at one call line) all survive.
+    differ only in message (e.g. two dtype findings on one line) all
+    survive.
     """
     return sorted(
         set(findings), key=lambda f: (f.path, f.line, f.rule, f.message)
@@ -195,10 +191,10 @@ def _default_target() -> Path:
 def _ckernels_status() -> str:
     """One-line compiled-kernel availability report.
 
-    The ``abi`` rules prove the three ABI layers agree *statically*;
-    this line reports whether the compiled path actually engages at
-    runtime — and if not, why (the recorded compiler diagnostic), so a
-    broken toolchain is never a silent pure-Python fallback.
+    Printed on every run: whether the compiled path actually engages
+    — and if not, why (the recorded compiler diagnostic, which is also
+    where a kernel ABI drift surfaces), so a broken toolchain is never
+    a silent pure-Python fallback.
     """
     from ..sim import ckernels
 
@@ -222,7 +218,6 @@ _FAMILY_PREFIXES = (
     ("policy-", "policy"),
     ("kernel-", "kernels"),
     ("par-", "par"),
-    ("abi-", "abi"),
     ("dtype-", "dtype"),
 )
 
@@ -254,8 +249,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
-                    "hot-path hygiene, cross-language kernel ABI, "
-                    "worker purity, dtype/width contracts)",
+                    "hot-path hygiene, worker purity, dtype/width "
+                    "contracts)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -300,14 +295,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = run_simlint(paths, SimlintConfig(families=families))
 
     def status_lines() -> List[str]:
-        lines: List[str] = []
+        lines: List[str] = [_ckernels_status()]
         modules: Optional[List[SourceModule]] = None
         if "par" in families or "dtype" in families:
             modules, _ = _load_modules([Path(p) for p in paths])
         if "par" in families and modules is not None:
             lines.extend(par_status_lines(modules))
-        if "abi" in families:
-            lines.append(_ckernels_status())
         if "dtype" in families and modules is not None:
             lines.extend(dtype_status_lines(modules))
         return lines

@@ -5,22 +5,31 @@ kernels in :mod:`repro.sim.kernels` are the executable specification,
 and every call site falls back to them transparently when this module
 reports the library unavailable. Availability requires only a system C
 compiler (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the
-shared object is built on first use with a plain ``cc -O2 -shared``
-invocation, cached under ``build/ckernels/`` keyed by a hash of the C
-source (so edits rebuild automatically, and concurrent workers racing
-the build land on the same file via an atomic rename), and loaded with
-:mod:`ctypes`. No third-party packaging or FFI dependency is involved.
+shared object is built on first use, cached under ``build/ckernels/``
+keyed by a hash of everything that shapes the binary (the C source, the
+generated header and the flag list, so edits rebuild automatically and
+concurrent workers racing the build land on the same file via an atomic
+rename), and loaded with :mod:`ctypes`. No third-party packaging or FFI
+dependency is involved.
+
+The kernel ABI is declared once, in :data:`KERNEL_ABI` below, and the C
+side is generated from it rather than checked against it: the build
+writes ``kernels_abi_<digest>.h`` holding the scalar typedefs, one
+prototype per table entry and every :data:`~repro.sim.constants.C_PARITY`
+value as a ``#define``, then compiles ``kernels.c`` with that header
+force-included under :data:`CFLAGS` (no system include path, warnings
+as errors). So a definition that disagrees with its table entry is a
+"conflicting types" error, an exported ``k_*`` function missing from
+the table fails ``-Wmissing-prototypes``, a re-``#define``d constant is
+a "redefined" error, and a libc call has no header to come from. Each
+kernel is bound through a ``CFUNCTYPE`` prototype with named
+parameters built from the same table, so a call with the wrong number
+of arguments raises ``TypeError`` instead of reading past the frame.
 
 A failed build is *not* silent: the compiler diagnostic is kept in
 :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
 reported by ``python -m repro.analysis`` alongside the lint summary —
 the pure-Python fallback still engages, but never invisibly.
-
-The ``_SIGNATURES`` table below is one half of the cross-language ABI;
-simlint's ``abi`` rule family parses ``kernels.c`` and cross-checks
-every entry argument-by-argument against the C prototypes and the
-``lib().k_*`` call sites in ``kernels.py``, so the three layers cannot
-drift apart without a lint error.
 
 Set ``REPRO_PURE_KERNELS=1`` to force the pure-Python kernels — the
 equivalence suite uses this to compare compiled vs. pure output, and
@@ -32,21 +41,27 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import worker_state
+from .constants import C_PARITY
 
 __all__ = [
     "lib",
     "available",
     "build_dir",
     "build_error",
+    "header_text",
     "reset",
+    "KERNEL_ABI",
+    "CFLAGS",
     "PURE_ENV",
     "CC_ENV",
 ]
@@ -60,9 +75,9 @@ CC_ENV = "REPRO_CC"
 _SOURCE = Path(__file__).with_name("kernels.c")
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
-#: ctypes.CDLL = loaded. The PURE_ENV override is intentionally *not*
-#: cached so tests can flip it per-case.
-_LIB: Union[None, bool, ctypes.CDLL] = None
+#: namespace of bound kernels = loaded. The PURE_ENV override is
+#: intentionally *not* cached so tests can flip it per-case.
+_LIB: Union[None, bool, SimpleNamespace] = None
 
 #: Human-readable reason the last build/load attempt failed (compiler
 #: diagnostic, missing toolchain, dlopen error), or None.
@@ -83,37 +98,164 @@ worker_state.register_worker_state(
 _I64P = ctypes.POINTER(ctypes.c_longlong)
 _U8P = ctypes.POINTER(ctypes.c_ubyte)
 _F64P = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.c_longlong
-_F64 = ctypes.c_double
 
-_SIGNATURES: Dict[str, List[Any]] = {
-    "k_lru": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_lip": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_bit_plru": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_bit_plru_mask": [_I64P, _U8P, _I64P, _I64, _I64, _U8P, _I64P,
-                        _I64P],
-    "k_srrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64P, _I64P],
-    "k_opt": [_I64P, _U8P, _I64P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_brrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64, _F64,
-                _F64P, _I64P, _I64P],
-    "k_drrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64, _F64,
-                _I64, _I64, _I64P, _F64P, _I64P, _I64P],
-    "k_topt": [_I64P, _U8P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64,
-               _I64, _I64P, _I64P, _I64P],
-    "k_popt": [_I64P, _U8P, _I64P, _I64P, _I64P, _I64P, _I64, _I64,
-               _I64, _I64P, _I64P, _I64, _I64, _F64, _I64, _I64P,
-               _F64P, _I64P, _I64P, _I64P],
-    "k_private_filter": [_I64P, _U8P, _I64, _I64, _I64, _I64, _I64,
-                         _I64, _I64, _I64, _I64P, _I64P, _U8P, _I64P,
-                         _I64P],
-    "k_next_use": [_I64P, _I64, _I64, _I64P, _I64P],
-    "k_set_partition": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P,
-                        _I64P, _U8P, _I64P],
-    "k_ship": [_I64P, _U8P, _U8P, _I64P, _I64, _I64, _I64, _I64,
-               _I64P, _I64P],
-    "k_hawkeye": [_I64P, _U8P, _U8P, _I64P, _I64, _I64, _I64, _I64,
-                  _I64, _I64, _I64P, _I64P],
+#: Parameter kind -> (C spelling, ctypes scalar, ctypes pointer).
+_KINDS: Dict[str, Tuple[str, Any, Any]] = {
+    "i64": ("i64", ctypes.c_longlong, _I64P),
+    "u8": ("u8", ctypes.c_ubyte, _U8P),
+    "f64": ("double", ctypes.c_double, _F64P),
 }
+
+#: One parameter: ``"[const ]kind [*]name"``. ``const`` marks a
+#: read-only input array; a pointer without it is a writable output or
+#: workspace.
+_PARAM = re.compile(r"(const )?(i64|u8|f64) (\*?)(\w+)")
+
+_PARTITIONED = (
+    "const i64 *lines", "const u8 *writes", "const i64 *counts",
+    "i64 num_sets", "i64 ways", "i64 *ws", "i64 *out",
+)
+
+#: The kernel ABI: every exported ``k_*`` function of ``kernels.c``
+#: with its parameters in C order. The only declaration of the
+#: boundary — the header prototypes and the ctypes bindings are both
+#: generated from it.
+KERNEL_ABI: Dict[str, Tuple[str, ...]] = {
+    "k_lru": _PARTITIONED,
+    "k_lip": _PARTITIONED,
+    "k_bit_plru": _PARTITIONED,
+    "k_bit_plru_mask": (
+        "const i64 *lines", "const u8 *writes", "const i64 *counts",
+        "i64 num_sets", "i64 ways", "u8 *hit_out", "i64 *ws", "i64 *out",
+    ),
+    "k_srrip": (
+        "const i64 *lines", "const u8 *writes", "const i64 *counts",
+        "i64 num_sets", "i64 ways", "i64 rmax", "i64 *ws", "i64 *out",
+    ),
+    "k_opt": (
+        "const i64 *lines", "const u8 *writes", "const i64 *snext",
+        "const i64 *counts", "i64 num_sets", "i64 ways", "i64 *ws",
+        "i64 *out",
+    ),
+    "k_brrip": (
+        "const i64 *lines", "const u8 *writes", "const i64 *sidx", "i64 n",
+        "i64 num_sets", "i64 ways", "i64 rmax", "f64 trickle",
+        "const f64 *draws", "i64 *ws", "i64 *out",
+    ),
+    "k_drrip": (
+        "const i64 *lines", "const u8 *writes", "const i64 *sidx", "i64 n",
+        "i64 num_sets", "i64 ways", "i64 rmax", "f64 trickle", "i64 psel",
+        "i64 psel_max", "const i64 *leader", "const f64 *draws",
+        "i64 *ws", "i64 *out",
+    ),
+    "k_topt": (
+        "const i64 *lines", "const u8 *writes", "const i64 *vertices",
+        "const i64 *lo", "const i64 *hi", "const i64 *refs",
+        "const i64 *counts", "i64 num_sets", "i64 ways", "i64 *ws",
+        "i64 *out", "i64 *cnt",
+    ),
+    "k_popt": (
+        "const i64 *lines", "const u8 *writes", "const i64 *vertices",
+        "const i64 *sidx", "const i64 *sid", "const i64 *row_base",
+        "i64 n", "i64 num_sets", "i64 ways", "const i64 *sparams",
+        "const i64 *entries", "i64 prefer_streaming", "i64 rmax",
+        "f64 trickle", "i64 psel_max", "const i64 *leader",
+        "const f64 *draws", "i64 *ws", "i64 *out", "i64 *cnt",
+    ),
+    "k_private_filter": (
+        "const i64 *addrs", "const u8 *writes", "i64 n", "i64 line_shift",
+        "i64 l1_sets", "i64 l1_ways", "i64 l1_pow2", "i64 l2_sets",
+        "i64 l2_ways", "i64 l2_pow2", "i64 *visible_idx", "i64 *vis_lines",
+        "u8 *vis_writes", "i64 *ws", "i64 *out",
+    ),
+    "k_next_use": (
+        "const i64 *lines", "i64 n", "i64 cap", "i64 *ws", "i64 *next_use",
+    ),
+    "k_set_partition": (
+        "const i64 *lines", "const u8 *writes", "const i64 *sidx", "i64 n",
+        "i64 num_sets", "i64 *counts", "i64 *order", "i64 *sorted_lines",
+        "u8 *sorted_writes", "i64 *ws",
+    ),
+    "k_ship": (
+        "const i64 *lines", "const u8 *writes", "const u8 *pcs",
+        "const i64 *sidx", "i64 n", "i64 num_sets", "i64 ways", "i64 rmax",
+        "i64 *ws", "i64 *out",
+    ),
+    "k_hawkeye": (
+        "const i64 *lines", "const u8 *writes", "const u8 *pcs",
+        "const i64 *sidx", "i64 n", "i64 num_sets", "i64 ways",
+        "i64 sample_every", "i64 window", "i64 cap", "i64 *ws", "i64 *out",
+    ),
+}
+
+#: Compiler flags. ``-nostdinc`` leaves the generated header as the
+#: only declarations in scope, and ``-Werror`` turns every drift from
+#: it into a build failure. Every drift diagnostic used (conflicting
+#: types, macro redefinition, implicit declaration, missing prototype)
+#: is on without ``-Wall``/``-Wextra``; those wider warnings run in CI
+#: only, so a new compiler's extra warning cannot disable this build.
+CFLAGS = (
+    "-O2", "-shared", "-fPIC", "-nostdinc",
+    "-Wmissing-prototypes", "-Werror",
+)
+
+
+def _params(name: str) -> List[Tuple[str, str, bool, bool]]:
+    """``(param name, kind, is_pointer, is_const)`` per table parameter."""
+    out: List[Tuple[str, str, bool, bool]] = []
+    for spec in KERNEL_ABI[name]:
+        match = _PARAM.fullmatch(spec)
+        if match is None or (match.group(1) and not match.group(3)):
+            raise ValueError(f"{name}: malformed ABI parameter {spec!r}")
+        const, kind, star, pname = match.groups()
+        out.append((pname, kind, bool(star), bool(const)))
+    return out
+
+
+def header_text() -> str:
+    """The generated ``kernels_abi.h``: typedefs, constants, prototypes."""
+    lines = [
+        "/* Generated by repro.sim.ckernels from KERNEL_ABI and",
+        " * constants.C_PARITY at build time; do not edit. */",
+        "typedef __INT64_TYPE__ i64;",
+        "typedef __UINT8_TYPE__ u8;",
+        "typedef __UINT64_TYPE__ u64;",
+        '_Static_assert(sizeof(i64) == 8, "i64 is 64-bit");',
+        '_Static_assert(sizeof(u8) == 1, "u8 is 8-bit");',
+        '_Static_assert(sizeof(u64) == 8, "u64 is 64-bit");',
+        '_Static_assert(sizeof(double) == 8, "f64 is 64-bit");',
+        "",
+    ]
+    lines += [
+        f"#define {name} ((i64){value})"
+        for name, value in sorted(C_PARITY.items())
+    ]
+    lines.append("")
+    for name in KERNEL_ABI:
+        args = ", ".join(
+            f"{'const ' if const else ''}{_KINDS[kind][0]} "
+            f"{'*' if pointer else ''}{pname}"
+            for pname, kind, pointer, const in _params(name)
+        )
+        lines.append(f"void {name}({args});")
+    return "\n".join(lines) + "\n"
+
+
+def _bind(cdll: ctypes.CDLL) -> SimpleNamespace:
+    """One ``CFUNCTYPE`` prototype per table entry; named parameters
+    make ctypes enforce the exact arity (plain ``argtypes`` accepts
+    surplus arguments)."""
+    bound: Dict[str, Any] = {}
+    for name in KERNEL_ABI:
+        params = _params(name)
+        proto = ctypes.CFUNCTYPE(None, *(
+            _KINDS[kind][2 if pointer else 1]
+            for pname, kind, pointer, const in params
+        ))
+        bound[name] = proto(
+            (name, cdll), tuple((1, param[0]) for param in params)
+        )
+    return SimpleNamespace(**bound)
 
 
 def build_dir() -> Path:
@@ -153,7 +295,17 @@ def _record_failure(reason: str) -> None:
     )
 
 
-def _build() -> Optional[ctypes.CDLL]:
+def _first_error(stderr: str) -> str:
+    """The compiler's first ``error:`` line (gcc prefixes in-function
+    errors with an ``In function`` context line), else its first line."""
+    lines = stderr.strip().splitlines()
+    for line in lines:
+        if "error:" in line:
+            return line
+    return lines[0] if lines else "(no stderr)"
+
+
+def _build() -> Optional[SimpleNamespace]:
     cc = _compiler()
     if cc is None:
         # Missing toolchain is the expected no-compiler configuration:
@@ -161,26 +313,34 @@ def _build() -> Optional[ctypes.CDLL]:
         global _BUILD_ERROR
         _BUILD_ERROR = "no C compiler found (cc/gcc/clang)"
         return None
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    header = header_text().encode()
+    digest = hashlib.sha256(b"\0".join(
+        [_SOURCE.read_bytes(), header, " ".join(CFLAGS).encode()]
+    )).hexdigest()[:16]
     out_dir = build_dir()
     so_path = out_dir / f"repro_kernels_{digest}.so"
     if not so_path.exists():
         out_dir.mkdir(parents=True, exist_ok=True)
+        header_path = out_dir / f"kernels_abi_{digest}.h"
+        fd, tmp = tempfile.mkstemp(suffix=".h", dir=str(out_dir))
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(header)
+        os.replace(tmp, header_path)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out_dir))
         os.close(fd)
         try:
             subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", str(_SOURCE), "-o", tmp],
+                [cc, *CFLAGS, "-include", str(header_path), str(_SOURCE),
+                 "-o", tmp],
                 check=True,
                 capture_output=True,
             )
             os.replace(tmp, so_path)  # atomic: racing workers converge
         except subprocess.CalledProcessError as exc:
-            stderr = (exc.stderr or b"").decode("utf-8", "replace").strip()
-            detail = stderr.splitlines()[0] if stderr else "(no stderr)"
+            stderr = (exc.stderr or b"").decode("utf-8", "replace")
             _record_failure(
-                f"{cc} exited with status {exc.returncode}: {detail}"
+                f"{cc} exited with status {exc.returncode}: "
+                f"{_first_error(stderr)}"
             )
             try:
                 os.unlink(tmp)
@@ -195,18 +355,13 @@ def _build() -> Optional[ctypes.CDLL]:
                 pass
             return None
     try:
-        cdll = ctypes.CDLL(str(so_path))
-    except OSError as exc:
+        return _bind(ctypes.CDLL(str(so_path)))
+    except (OSError, AttributeError) as exc:
         _record_failure(f"could not load {so_path.name}: {exc}")
         return None
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(cdll, name)
-        fn.argtypes = argtypes
-        fn.restype = None
-    return cdll
 
 
-def lib() -> Optional[ctypes.CDLL]:
+def lib() -> Optional[SimpleNamespace]:
     """The compiled kernel library, or None (pure-Python fallback).
 
     Returns None without touching the build cache when ``PURE_ENV`` is
@@ -219,7 +374,7 @@ def lib() -> Optional[ctypes.CDLL]:
     if _LIB is None:
         built = _build()
         _LIB = built if built is not None else False
-    return _LIB if isinstance(_LIB, ctypes.CDLL) else None
+    return _LIB if isinstance(_LIB, SimpleNamespace) else None
 
 
 def available() -> bool:

@@ -7,9 +7,9 @@ kernels (``repro.sim.kernels``), and the compiled transliterations
 (``kernels.c``). PR 4 caught one fork at runtime (a fixed 7-bit
 ``inter_only`` sentinel mask applied to 8-bit raw entries); this module
 is the fix-forever: every Python site imports its numbers from here, and
-``kernels.c`` names the same numbers as ``#define`` constants that
-simlint's ``abi-constant`` rule cross-checks against :data:`C_PARITY`
-— so the literals cannot silently fork again.
+``kernels.c`` sees the same numbers only through ``#define`` constants
+generated from :data:`C_PARITY` at build time — so the literals cannot
+silently fork again.
 
 Nothing here imports anything from the package (no cycles): it is a
 leaf module of plain integers, tuples, and arithmetic helpers.
@@ -183,16 +183,6 @@ HAWKEYE_COUNTER_INITIAL = 4
 
 
 # ----------------------------------------------------------------------
-# C parity table (simlint ``abi-constant``)
-# ----------------------------------------------------------------------
-
-#: Every ``#define`` in ``kernels.c`` must appear here with the same
-#: value, and every entry here must be ``#define``d there — simlint's
-#: ``abi-constant`` rule enforces both directions, so a fork of any
-#: bit-layout constant across the language boundary is a lint error.
-#: (Float-valued constants like :data:`BRRIP_TRICKLE` are passed to C
-#: as arguments, never re-declared there, so they are not listed.)
-# ----------------------------------------------------------------------
 # Declared capacity contracts (simlint ``dtype`` + check_width_contracts)
 # ----------------------------------------------------------------------
 
@@ -266,6 +256,17 @@ WIDTH_CONTRACTS: Dict[str, Dict[str, object]] = {
 }
 
 
+# ----------------------------------------------------------------------
+# C parity table (generated into the kernel build's header)
+# ----------------------------------------------------------------------
+
+#: The constants ``kernels.c`` uses, by ``#define`` name. The C side is
+#: generated, not linted: :func:`repro.sim.ckernels.header_text` emits
+#: one ``#define`` per entry into the header the kernels are compiled
+#: against, and a ``kernels.c`` that re-``#define``s one with a
+#: different value fails the build. (Float-valued constants like
+#: :data:`BRRIP_TRICKLE` are passed to C as arguments, never declared
+#: there, so they are not listed.)
 C_PARITY: Dict[str, int] = {
     "TOPT_NEVER": TOPT_NEVER,
     "POPT_STREAMING_NEXT_REF": POPT_STREAMING_NEXT_REF,

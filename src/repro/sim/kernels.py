@@ -104,7 +104,6 @@ that no boxing or per-access list growth creeps *into* the loops.
 from __future__ import annotations
 
 import bisect
-import ctypes
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -119,6 +118,7 @@ from ..policies.random_policy import RandomReplacement
 from ..policies.rrip import BRRIP
 from ..popt.arch import PoptCounters
 from . import ckernels, worker_state
+from .ckernels import _F64P, _I64P, _U8P
 from .constants import (
     HAWKEYE_COUNTER_INITIAL,
     HAWKEYE_COUNTER_MAX,
@@ -175,21 +175,35 @@ def _finish(
 # ctypes glue for the compiled fast path
 # ----------------------------------------------------------------------
 
-_I64P = ctypes.POINTER(ctypes.c_longlong)
-_U8P = ctypes.POINTER(ctypes.c_ubyte)
-_F64P = ctypes.POINTER(ctypes.c_double)
+def _pointer(arr: np.ndarray, dtypes: Tuple[np.dtype, ...], ptype):
+    """``arr`` as a kernel pointer argument. ctypes hands over the raw
+    buffer address, so an array of the wrong width or a strided view
+    would be misread silently; both are refused here instead."""
+    if arr.dtype not in dtypes or not arr.flags.c_contiguous:
+        raise TypeError(
+            f"kernel pointer argument needs a C-contiguous "
+            f"{' or '.join(map(str, dtypes))} array, got {arr.dtype} "
+            f"(C-contiguous: {arr.flags.c_contiguous})"
+        )
+    return arr.ctypes.data_as(ptype)
+
+
+_I64_DTYPES = (np.dtype(np.int64),)
+#: ``bool`` shares uint8's one-byte layout; C reads 0/1.
+_U8_DTYPES = (np.dtype(np.uint8), np.dtype(np.bool_))
+_F64_DTYPES = (np.dtype(np.float64),)
 
 
 def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(_I64P)
+    return _pointer(arr, _I64_DTYPES, _I64P)
 
 
 def _u8(arr: np.ndarray):
-    return arr.ctypes.data_as(_U8P)
+    return _pointer(arr, _U8_DTYPES, _U8P)
 
 
 def _f64(arr: np.ndarray):
-    return arr.ctypes.data_as(_F64P)
+    return _pointer(arr, _F64_DTYPES, _F64P)
 
 
 def _ws(size: int) -> np.ndarray:

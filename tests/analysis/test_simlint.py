@@ -508,21 +508,22 @@ class TestRunner:
         assert main([str(module), "--skip", "determinism"]) == 0
 
     def test_main_disable_abi_round_trip(self, tmp_path, capsys):
-        # A sim/ directory whose ckernels.py names a kernel with no
-        # kernels.c at all: the abi family reports it, and
-        # ``--disable abi`` (the CI spelling, alias of --skip) makes
-        # the same tree lint clean.
-        sim = tmp_path / "sim"
-        sim.mkdir()
-        (sim / "ckernels.py").write_text(
-            "import ctypes\n\n_I64P = ctypes.POINTER(ctypes.c_longlong)"
-            "\n\n_SIGNATURES = {\n    \"k_ghost\": [_I64P],\n}\n"
+        # A module with a seeded dtype-overflow: the dtype family
+        # reports it next to the ckernels status line, and
+        # ``--disable dtype`` (the CI spelling, alias of --skip) makes
+        # the same file lint clean.
+        module = tmp_path / "mod.py"
+        module.write_text(
+            "import numpy as np\n\n"
+            "def tally(idx, n):\n"
+            "    counts = np.zeros(n, dtype=np.uint8)\n"
+            "    counts[idx] = np.zeros(n, dtype=np.int64)\n"
         )
-        assert main([str(sim)]) == 1
+        assert main([str(module)]) == 1
         out = capsys.readouterr().out
-        assert "[abi-parse]" in out
+        assert "[dtype-overflow]" in out
         assert "ckernels:" in out
-        assert main([str(sim), "--disable", "abi", "--quiet"]) == 0
+        assert main([str(module), "--disable", "dtype", "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
     def test_main_exit_zero_on_clean_tree(self, capsys):
@@ -557,8 +558,7 @@ class TestRunner:
 
     def test_same_site_distinct_messages_survive(self):
         """Dedup is exact-identity: two findings differing only in
-        message (one abi-signature per mismatched argument) both
-        survive."""
+        message (two findings on one line) both survive."""
         from repro.analysis.runner import _stable_findings
 
         pair = [

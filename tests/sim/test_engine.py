@@ -375,6 +375,15 @@ class TestKernelEquivalence:
         assert pure.details["engine"]["kernel"] is not None
         assert_results_match(pure, compiled)
 
+    def test_every_kernel_function_is_registered(self):
+        from repro.sim import kernels
+
+        defined = {
+            fn for name, fn in vars(kernels).items()
+            if name.startswith("kernel_") and callable(fn)
+        }
+        assert defined == set(kernels.KERNEL_TABLE.values())
+
     def test_bip_gets_no_kernel(self, prepared, hierarchy):
         # BIP subclasses LIP; the exact-type kernel table must not let it
         # inherit LIP's kernel (their insertion rules differ).
