@@ -33,6 +33,18 @@ POPT_KERNEL_REPORT = RESULTS_DIR / "BENCH_popt_kernels.json"
 DYNAMIC_REPORT = RESULTS_DIR / "BENCH_dynamic.json"
 
 
+def require_compiled_kernels() -> None:
+    """Fail a kernel benchmark at its start when the compiled library is
+    unavailable: its floors measure the C kernels, and without them
+    every policy replays through the generic loop."""
+    from repro.sim import ckernels
+
+    if not ckernels.available():
+        raise RuntimeError(
+            f"compiled replay kernels unavailable: {ckernels.build_error()}"
+        )
+
+
 def get_scale() -> str:
     return os.environ.get("REPRO_SCALE", "small")
 

@@ -12,7 +12,7 @@ cover the broken combination. Rule families:
 - ``registry``     — policy registry drift (unreachable/broken names)
 - ``determinism``  — unseeded RNGs, wall-clock reads, set-order
 - ``hotpath``      — per-access work creeping back into replay loops
-- ``kernels``      — replay-kernel dispatch coverage and loop hygiene
+- ``kernels``      — replay-kernel dispatch coverage
 - ``spec-coverage`` — experiment specs vs the registries they name
 - ``par``          — worker purity for process-parallel sweep workers
 - ``dtype``        — flow-based numpy dtype/width inference against the

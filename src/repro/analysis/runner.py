@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,15 +193,10 @@ def _ckernels_status() -> str:
     Printed on every run: whether the compiled path actually engages
     — and if not, why (the recorded compiler diagnostic, which is also
     where a kernel ABI drift surfaces), so a broken toolchain is never
-    a silent pure-Python fallback.
+    a silent generic-loop fallback.
     """
     from ..sim import ckernels
 
-    if os.environ.get(ckernels.PURE_ENV):
-        return (
-            f"ckernels: pure-Python kernels forced "
-            f"({ckernels.PURE_ENV} set)"
-        )
     if ckernels.available():
         return "ckernels: compiled kernels available"
     reason = ckernels.build_error() or "unknown failure"

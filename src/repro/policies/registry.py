@@ -113,6 +113,8 @@ def replay_kernels() -> Dict[type, str]:
     subclass never silently inherits a kernel that does not model its
     behavior (BIP subclasses LIP but adds an RNG on fill;
     GRASP/SDBP/Leeway/BIP all stay on the generic per-access path).
+    Random has no kernel: its per-set ``randrange`` streams cannot be
+    pre-drawn for a C loop, so it always replays generically.
     Two policies additionally override ``replay_kernel`` to fall back
     to the generic path when a kernel precondition fails: P-OPT when
     its tie-break sub-policy is not exactly DRRIP (the kernel inlines
@@ -134,7 +136,6 @@ def replay_kernels() -> Dict[type, str]:
             LRU: "lru",
             LIP: "lip",
             BitPLRU: "bit-plru",
-            RandomReplacement: "random",
             SRRIP: "srrip",
             BRRIP: "brrip",
             DRRIP: "drrip",

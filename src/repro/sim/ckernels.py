@@ -1,10 +1,11 @@
 """Build/load harness for the compiled replay kernels (``kernels.c``).
 
-The compiled kernels are an *optional* acceleration: the pure-Python
-kernels in :mod:`repro.sim.kernels` are the executable specification,
-and every call site falls back to them transparently when this module
-reports the library unavailable. Availability requires only a system C
-compiler (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the
+The compiled kernels are the only fast path of the kernel-backed
+policies; the policy classes are the specification. When this module
+reports the library unavailable, :func:`repro.sim.kernels.resolve_kernel`
+returns None and every policy replays through the engine's generic
+per-access loop. Availability requires only a system C compiler
+(``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the
 shared object is built on first use, cached under ``build/ckernels/``
 keyed by a hash of everything that shapes the binary (the C source, the
 generated header and the flag list, so edits rebuild automatically and
@@ -29,11 +30,12 @@ of arguments raises ``TypeError`` instead of reading past the frame.
 A failed build is *not* silent: the compiler diagnostic is kept in
 :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
 reported by ``python -m repro.analysis`` alongside the lint summary —
-the pure-Python fallback still engages, but never invisibly.
+the generic loop still engages, but never invisibly.
 
-Set ``REPRO_PURE_KERNELS=1`` to force the pure-Python kernels — the
-equivalence suite uses this to compare compiled vs. pure output, and
-it is the escape hatch if a toolchain miscompiles.
+``REPRO_CC=/bin/false`` with a fresh ``REPRO_CKERNELS_DIR`` runs the
+no-toolchain configuration on a host that has one (the equivalence
+suite compares it against the compiled run), and is the escape hatch
+if a toolchain miscompiles.
 """
 
 from __future__ import annotations
@@ -62,12 +64,8 @@ __all__ = [
     "reset",
     "KERNEL_ABI",
     "CFLAGS",
-    "PURE_ENV",
     "CC_ENV",
 ]
-
-#: Environment variable forcing the pure-Python kernel paths.
-PURE_ENV = "REPRO_PURE_KERNELS"
 
 #: Environment variable overriding the compiler executable.
 CC_ENV = "REPRO_CC"
@@ -75,8 +73,7 @@ CC_ENV = "REPRO_CC"
 _SOURCE = Path(__file__).with_name("kernels.c")
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
-#: namespace of bound kernels = loaded. The PURE_ENV override is
-#: intentionally *not* cached so tests can flip it per-case.
+#: namespace of bound kernels = loaded.
 _LIB: Union[None, bool, SimpleNamespace] = None
 
 #: Human-readable reason the last build/load attempt failed (compiler
@@ -124,10 +121,6 @@ KERNEL_ABI: Dict[str, Tuple[str, ...]] = {
     "k_lru": _PARTITIONED,
     "k_lip": _PARTITIONED,
     "k_bit_plru": _PARTITIONED,
-    "k_bit_plru_mask": (
-        "const i64 *lines", "const u8 *writes", "const i64 *counts",
-        "i64 num_sets", "i64 ways", "u8 *hit_out", "i64 *ws", "i64 *out",
-    ),
     "k_srrip": (
         "const i64 *lines", "const u8 *writes", "const i64 *counts",
         "i64 num_sets", "i64 ways", "i64 rmax", "i64 *ws", "i64 *out",
@@ -281,15 +274,15 @@ def _compiler() -> Optional[str]:
 def _record_failure(reason: str) -> None:
     """Remember *why* the compiled path is unavailable and say so once.
 
-    The pure-Python fallback still engages — the kernels are optional —
-    but a toolchain that exists and fails is a real diagnostic the user
-    (and CI) should see, not a silent 20-75x slowdown.
+    The generic loop still engages — the kernels are optional — but a
+    toolchain that exists and fails is a real diagnostic the user (and
+    CI) should see, not a silent 20-75x slowdown.
     """
     global _BUILD_ERROR
     _BUILD_ERROR = reason
     warnings.warn(
         f"compiled replay kernels unavailable, falling back to "
-        f"pure-Python kernels: {reason}",
+        f"the generic replay loop: {reason}",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -362,15 +355,12 @@ def _build() -> Optional[SimpleNamespace]:
 
 
 def lib() -> Optional[SimpleNamespace]:
-    """The compiled kernel library, or None (pure-Python fallback).
+    """The compiled kernel library, or None (generic-loop fallback).
 
-    Returns None without touching the build cache when ``PURE_ENV`` is
-    set; otherwise builds/loads once per process and memoizes the
-    outcome (including failure — a missing toolchain is not retried).
+    Builds/loads once per process and memoizes the outcome (including
+    failure — a missing toolchain is not retried).
     """
     global _LIB
-    if os.environ.get(PURE_ENV):
-        return None
     if _LIB is None:
         built = _build()
         _LIB = built if built is not None else False

@@ -1,12 +1,13 @@
 """Shared bit-layout and policy constants (the cross-language registry).
 
-Algorithm 2's entry encodings (Fig. 5/6), the next-ref sentinels, and
-the RRIP insertion parameters exist in *three* places: the reference
-policies (``repro.popt``, ``repro.policies``), the pure-Python replay
-kernels (``repro.sim.kernels``), and the compiled transliterations
-(``kernels.c``). PR 4 caught one fork at runtime (a fixed 7-bit
-``inter_only`` sentinel mask applied to 8-bit raw entries); this module
-is the fix-forever: every Python site imports its numbers from here, and
+Algorithm 2's entry encodings (Fig. 5/6), the next-ref sentinels, the
+RRIP insertion parameters and the SHiP/Hawkeye counter bounds are used
+in three places: the reference policies (``repro.popt``,
+``repro.policies``), the kernel wrappers (``repro.sim.kernels``), and
+the compiled kernels (``kernels.c``). A fork between them once went
+unnoticed until runtime (a fixed 7-bit ``inter_only`` sentinel mask
+applied to 8-bit raw entries); this module prevents that by
+construction: every Python site imports its numbers from here, and
 ``kernels.c`` sees the same numbers only through ``#define`` constants
 generated from :data:`C_PARITY` at build time — so the literals cannot
 silently fork again.
@@ -171,12 +172,13 @@ POPT_SPARAM_SLOTS = len(POPT_SPARAM_LAYOUT)
 #: policies use defaultdicts.
 KERNEL_SIG_SPACE = 256
 
-#: SHiP signature-history counter bounds (``policies/ship.py``).
+#: SHiP signature-history counter bounds (``SHiP.SHCT_MAX`` /
+#: ``SHiP.SHCT_INITIAL`` are these values).
 SHIP_SHCT_MAX = 3
 SHIP_SHCT_INITIAL = 1
 
-#: Hawkeye RRIP depth and predictor counter bounds
-#: (``policies/hawkeye.py``).
+#: Hawkeye RRIP depth and predictor counter bounds (``Hawkeye.RRPV_MAX``
+#: / ``COUNTER_MAX`` / ``COUNTER_INITIAL`` are these values).
 HAWKEYE_RRPV_MAX = 7
 HAWKEYE_COUNTER_MAX = 7
 HAWKEYE_COUNTER_INITIAL = 4

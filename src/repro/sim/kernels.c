@@ -1,16 +1,19 @@
-/* Compiled LLC replay kernels (optional fast path).
+/* Compiled LLC replay kernels (the only fast path of each kernel-backed
+ * policy).
  *
- * Each function is a line-for-line transliteration of the pure-Python
- * kernel of the same policy in kernels.py — same probe order, same
- * victim tie-breaks, same dirty/writeback bookkeeping — so the two
- * paths are bit-identical and the Python kernels double as the
- * executable specification (the equivalence suite compares compiled vs
- * pure vs generic vs reference).
+ * Each function replays one policy class of repro.policies/repro.popt
+ * over the LLC-visible stream — same probe order, same victim
+ * tie-breaks, same dirty/writeback bookkeeping — so its output is
+ * bit-identical to the generic per-access loop over the policy class,
+ * which is the specification (the equivalence suite compares compiled
+ * vs generic vs reference). The per-policy correctness arguments are in
+ * the kernels.py module docstring.
  *
  * Built on demand by repro.sim.ckernels via the system C compiler and
- * loaded with ctypes; when no compiler is available the Python kernels
- * run instead. No Python API is used here: every argument is a plain
- * C array (int64 lines/counts, uint8 write flags, float64 RNG draws).
+ * loaded with ctypes; when no compiler is available the engine replays
+ * every policy through its generic loop instead. No Python API is used
+ * here: every argument is a plain C array (int64 lines/counts, uint8
+ * write flags, float64 RNG draws).
  *
  * This file declares nothing the Python side also declares. The build
  * force-includes a header generated from ckernels.KERNEL_ABI and
@@ -34,7 +37,9 @@
  *
  * Residency probes are linear tag scans: a set's ways hold distinct
  * lines, so "first way whose tag matches" answers exactly what the
- * Python kernels' line->way dict answers.
+ * reference cache's tags.index(line) answers, and the lowest invalid
+ * way is the next one after the `filled` ways (ways are never
+ * invalidated).
  */
 
 /* out[0..3] += hits, misses, evictions, writebacks */
@@ -48,7 +53,7 @@
     } while (0)
 
 /* Set-partitioned kernels carve 3-4 way-sized arrays from ws (the
- * caller sizes it; see _ws_partitioned in kernels.py) and re-initialize
+ * caller sizes it; see _c_partitioned in kernels.py) and re-initialize
  * them at every set boundary, so the workspace contents never leak
  * between sets or calls. */
 
@@ -276,60 +281,6 @@ void k_opt(const i64 *lines, const u8 *writes, const i64 *snext,
                 dirty[way] = writes[k];
             }
             line_next[way] = snext[k];
-        }
-        start = stop;
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-}
-
-/* Bit-PLRU with a per-access hit mask (private-level filtering needs to
- * know *which* accesses hit, not just how many). hit_out[k] is written
- * at the set-sorted position k; the caller scatters it back through its
- * argsort order. */
-void k_bit_plru_mask(const i64 *lines, const u8 *writes, const i64 *counts,
-                     i64 num_sets, i64 ways, u8 *hit_out, i64 *ws, i64 *out)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 *resident = ws;
-    i64 *mru = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; mru[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            i64 nset;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                hit_out[k] = 1;
-                if (writes[k]) dirty[way] = 1;
-            } else {
-                misses++;
-                hit_out[k] = 0;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    way = 0;
-                    for (w = 0; w < ways; w++)
-                        if (!mru[w]) { way = w; break; }
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-            }
-            mru[way] = 1;
-            nset = 0;
-            for (w = 0; w < ways; w++) nset += mru[w];
-            if (nset == ways) {
-                for (w = 0; w < ways; w++) mru[w] = 0;
-                mru[way] = 1;
-            }
         }
         start = stop;
     }
@@ -673,9 +624,9 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
  * `mru` and `dirty` point at the set's ways-sized state, `filled` at
  * its monotone fill counter, and `stats` accumulates {hits, misses,
  * evictions, writebacks}.  Returns 1 on hit, 0 on miss — the same
- * per-access transitions k_bit_plru_mask applies to a set-partitioned
- * stream (sets are independent, so replaying them interleaved in
- * access order is bit-identical). */
+ * per-access transitions replay_bit_plru_stream in kernels.py applies
+ * to a set-partitioned stream (sets are independent, so replaying them
+ * interleaved in access order is bit-identical). */
 static i64 plru_access(i64 *resident, i64 *mru, i64 *dirty, i64 *filled,
                        i64 ways, i64 line, i64 write, i64 *stats)
 {

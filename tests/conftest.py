@@ -1,9 +1,13 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.graph import from_edges, uniform_random
+from repro.sim import ckernels
 
 
 @pytest.fixture
@@ -39,3 +43,33 @@ def small_random_graph():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_ckernels(tmp_path_factory, monkeypatch):
+    """Context manager under which ``ckernels.lib()`` returns None.
+
+    Simulates a host without a C toolchain: ``REPRO_CC`` names a failing
+    compiler and ``REPRO_CKERNELS_DIR`` an empty directory, so no cached
+    library is loaded either. The memoized build outcome is reset on
+    entry and on exit, so the compiled library (if any) is back after
+    the ``with`` block; runs before the block can serve as the compiled
+    baseline.
+    """
+    @contextlib.contextmanager
+    def disabled():
+        with monkeypatch.context() as patch:
+            patch.setenv(ckernels.CC_ENV, "/bin/false")
+            patch.setenv(
+                "REPRO_CKERNELS_DIR", str(tmp_path_factory.mktemp("no-cc"))
+            )
+            ckernels.reset()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    assert ckernels.lib() is None
+                yield
+            finally:
+                ckernels.reset()
+
+    return disabled
