@@ -31,6 +31,7 @@ ENGINE_REPORT = RESULTS_DIR / "BENCH_engine.json"
 KERNEL_REPORT = RESULTS_DIR / "BENCH_kernels.json"
 POPT_KERNEL_REPORT = RESULTS_DIR / "BENCH_popt_kernels.json"
 DYNAMIC_REPORT = RESULTS_DIR / "BENCH_dynamic.json"
+COLD_REPORT = RESULTS_DIR / "BENCH_cold.json"
 
 
 def require_compiled_kernels() -> None:
@@ -158,6 +159,19 @@ def write_dynamic_report(payload: Dict[str, object]) -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     DYNAMIC_REPORT.write_text(json.dumps(payload, indent=2) + "\n")
     return DYNAMIC_REPORT
+
+
+def write_cold_report(payload: Dict[str, object]) -> Path:
+    """Persist cold-path timings as ``BENCH_cold.json``.
+
+    Per stage (graph build, transpose, T-OPT line refs, fill draws):
+    former vs packed-key/numpy seconds, the speedup, and whether the
+    outputs were identical. CI asserts identity everywhere and speedup
+    floors on the graph build and the fill draws.
+    """
+    RESULTS_DIR.mkdir(exist_ok=True)
+    COLD_REPORT.write_text(json.dumps(payload, indent=2) + "\n")
+    return COLD_REPORT
 
 
 def run_once(benchmark, fn, *args, **kwargs):

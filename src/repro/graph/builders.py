@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import GraphFormatError
-from .csr import CSRGraph
+from .csr import CSRGraph, check_vertex_count, from_sorted_keys, run_starts
 
 __all__ = [
     "from_edges",
@@ -59,6 +59,7 @@ def from_edges(
         array = array[array[:, 0] != array[:, 1]]
     if num_vertices is None:
         num_vertices = int(array.max()) + 1 if len(array) else 0
+    check_vertex_count(num_vertices)
     if len(array):
         if array.min() < 0:
             raise GraphFormatError("negative vertex ID in edge list")
@@ -66,21 +67,16 @@ def from_edges(
             raise GraphFormatError(
                 f"vertex ID {int(array.max())} exceeds num_vertices={num_vertices}"
             )
-    if dedup and len(array):
-        array = np.unique(array, axis=0)
-    sources = array[:, 0]
-    destinations = array[:, 1]
-    counts = np.bincount(sources, minlength=num_vertices).astype(
-        np.int64, copy=False
-    )
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # Sort edges by (src, dst) so neighbor lists come out sorted.
-    order = np.lexsort((destinations, sources))
-    # IDs were validated < num_vertices above, and num_vertices fits the
-    # WIDTH_CONTRACTS["csr.neighbors"] int32 range by construction.
-    neighbors = destinations[order].astype(np.int32)  # simlint: allow[dtype-narrowing-cast]
-    return CSRGraph(offsets=offsets, neighbors=neighbors)
+    # One sort of packed (src, dst) keys orders edges by source, then
+    # neighbor; parallel edges pack to equal keys, so no stable sort is
+    # needed and dedup is an adjacent-difference keep-mask.
+    keys = array[:, 0] * num_vertices
+    keys += array[:, 1]
+    del array
+    keys.sort()
+    if dedup:
+        keys = keys[run_starts(keys)]
+    return from_sorted_keys(keys, num_vertices)
 
 
 #: A chunk source is a zero-argument callable returning a fresh iterator
@@ -163,6 +159,7 @@ def from_edges_chunked(
         num_vertices = resolve_num_vertices()
     if num_vertices is None:
         num_vertices = max_id + 1 if max_id >= 0 else 0
+    check_vertex_count(num_vertices)
     if max_id >= num_vertices:
         raise GraphFormatError(
             f"vertex ID {max_id} exceeds num_vertices={num_vertices}"
@@ -211,17 +208,20 @@ def from_edges_chunked(
         )
 
     # Final in-segment sort: sources are already non-decreasing, so a
-    # stable lexsort keyed (source, neighbor) only reorders within each
-    # neighbor list — parallel edges keep stream order, matching
-    # ``from_edges``'s global lexsort exactly.
+    # stable sort of packed (source, neighbor) keys only reorders within
+    # each neighbor list. Parallel edges pack to equal keys and keep
+    # stream order, which is what keeps each payload on its edge.
     if total:
-        sources_all = np.repeat(
-            np.arange(num_vertices, dtype=np.int32), full_counts
+        keys = np.repeat(
+            np.arange(num_vertices, dtype=np.int64), full_counts
         )
-        order_all = np.lexsort((neighbors, sources_all))
-        neighbors = neighbors[order_all]
+        keys *= num_vertices
+        keys += neighbors
+        order = np.argsort(keys, kind="stable")
+        del keys
+        neighbors = neighbors[order]
         if payload_out is not None:
-            payload_out = payload_out[order_all]
+            payload_out = payload_out[order]
     graph = CSRGraph(offsets=offsets, neighbors=neighbors)
     if with_payload:
         assert payload_out is not None

@@ -18,8 +18,67 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..errors import GraphFormatError
+from ..sim.constants import WIDTH_CONTRACTS
 
-__all__ = ["CSRGraph"]
+__all__ = [
+    "CSRGraph",
+    "MAX_VERTICES",
+    "check_vertex_count",
+    "from_sorted_keys",
+    "run_starts",
+    "split_sorted_keys",
+]
+
+#: Vertex IDs are stored as int32 neighbors
+#: (``WIDTH_CONTRACTS["csr.neighbors"]``), so a graph has at most 2**31
+#: vertices. The same bound keeps every packed ``row * n + col`` sort
+#: key below ``n * n <= 2**62``, inside int64.
+MAX_VERTICES = 1 << int(WIDTH_CONTRACTS["csr.neighbors"]["max_bits"])
+
+
+def check_vertex_count(num_vertices: int) -> None:
+    """Reject a vertex count whose IDs would not fit the int32 neighbors."""
+    if num_vertices > MAX_VERTICES:
+        raise GraphFormatError(
+            f"num_vertices={num_vertices} exceeds the int32 neighbor-ID "
+            f"range ({MAX_VERTICES} vertices)"
+        )
+
+
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Keep-mask of the first element of each run of equal sorted keys."""
+    keep = np.empty(len(sorted_keys), dtype=bool)
+    if len(keep):
+        keep[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+    return keep
+
+
+def split_sorted_keys(
+    keys: np.ndarray, num_rows: int, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split sorted int64 ``row * width + col`` keys into CSR form.
+
+    Returns ``(offsets, cols)`` with ``offsets`` of length
+    ``num_rows + 1``. ``cols`` is ``keys`` itself, overwritten in place
+    with ``key % width``.
+    """
+    offsets = np.searchsorted(
+        keys, np.arange(num_rows + 1, dtype=np.int64) * width
+    ).astype(np.int64, copy=False)
+    if len(keys):
+        np.remainder(keys, width, out=keys)
+    return offsets, keys
+
+
+def from_sorted_keys(keys: np.ndarray, num_vertices: int) -> "CSRGraph":
+    """The graph whose edges are the sorted packed ``src * n + dst`` keys
+    (consumed in place)."""
+    offsets, cols = split_sorted_keys(keys, num_vertices, num_vertices)
+    # cols are IDs < num_vertices <= MAX_VERTICES = 2**31 (checked before
+    # any keys were packed), so they fit WIDTH_CONTRACTS["csr.neighbors"].
+    neighbors = cols.astype(np.int32)
+    return CSRGraph(offsets=offsets, neighbors=neighbors)
 
 
 @dataclass(frozen=True)
@@ -56,6 +115,7 @@ class CSRGraph:
             raise GraphFormatError("offsets and neighbors must be 1-D arrays")
         if len(self.offsets) == 0:
             raise GraphFormatError("offsets must have at least one entry")
+        check_vertex_count(self.num_vertices)
         if self.offsets[0] != 0:
             raise GraphFormatError("offsets must start at 0")
         if self.offsets[-1] != len(self.neighbors):
@@ -129,20 +189,27 @@ class CSRGraph:
             self._transpose_cache.append(self._build_transpose())
         return self._transpose_cache[0]
 
-    def _build_transpose(self) -> "CSRGraph":
+    def _packed_edges(self, reverse: bool = False) -> np.ndarray:
+        """Edges as unsorted int64 ``src * n + dst`` keys (``dst * n +
+        src`` with ``reverse``), in CSR order."""
         n = self.num_vertices
-        counts = np.bincount(self.neighbors, minlength=n).astype(
-            np.int64, copy=False
-        )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # Stable sort of edges by destination groups reversed edges in
-        # offset order; stability keeps each group's sources ascending, so
-        # the transpose's neighbor lists come out sorted without extra work.
-        sources = np.repeat(np.arange(n, dtype=np.int32), self.degrees())
-        order = np.argsort(self.neighbors, kind="stable")
-        neighbors = sources[order]
-        transposed = CSRGraph(offsets=offsets, neighbors=neighbors)
+        sources = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+        if reverse:
+            keys = self.neighbors.astype(np.int64)
+            keys *= n
+            keys += sources
+        else:
+            keys = sources
+            keys *= n
+            keys += self.neighbors
+        return keys
+
+    def _build_transpose(self) -> "CSRGraph":
+        # One sort of the packed (dst, src) keys groups reversed edges by
+        # destination with ascending sources: sorted neighbor lists.
+        keys = self._packed_edges(reverse=True)
+        keys.sort()
+        transposed = from_sorted_keys(keys, self.num_vertices)
         transposed._transpose_cache.append(self)
         return transposed
 
@@ -150,19 +217,18 @@ class CSRGraph:
         """Return an equivalent graph whose neighbor lists are sorted."""
         if self.has_sorted_neighbors():
             return self
-        neighbors = self.neighbors.copy()
-        for v in range(self.num_vertices):
-            lo, hi = self.offsets[v], self.offsets[v + 1]
-            neighbors[lo:hi] = np.sort(neighbors[lo:hi])
-        return CSRGraph(offsets=self.offsets, neighbors=neighbors)
+        keys = self._packed_edges()
+        keys.sort()
+        return from_sorted_keys(keys, self.num_vertices)
 
     def has_sorted_neighbors(self) -> bool:
         """True if every neighbor list is in ascending order."""
-        for v in range(self.num_vertices):
-            segment = self.out_neighbors(v)
-            if len(segment) > 1 and np.any(np.diff(segment) < 0):
-                return False
-        return True
+        descents = np.diff(self.neighbors) < 0
+        # A drop from one neighbor list into the next is not a descent.
+        starts = self.offsets[1:-1]
+        starts = starts[(starts > 0) & (starts < len(self.neighbors))]
+        descents[starts - 1] = False
+        return not bool(descents.any())
 
     def relabel(self, new_ids: np.ndarray) -> "CSRGraph":
         """Renumber vertices: old vertex ``v`` becomes ``new_ids[v]``.

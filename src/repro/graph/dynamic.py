@@ -196,7 +196,12 @@ def random_delta(
             "cannot insert non-self-loop edges into a <2-vertex graph"
         )
     rng = np.random.default_rng(seed)
-    distinct = np.unique(graph.edge_array().astype(np.int64), axis=0)
+    # A CSR with sorted neighbor lists lists its edges sorted by (src,
+    # dst), so duplicates are adjacent and a keep-mask dedups them.
+    edges = graph.with_sorted_neighbors().edge_array().astype(np.int64)
+    keep = np.ones(len(edges), dtype=bool)
+    keep[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+    distinct = edges[keep]
     take = min(num_deletions, len(distinct))
     chosen = rng.choice(len(distinct), size=take, replace=False)
     deletions = distinct[chosen]

@@ -161,31 +161,14 @@ def validate_csr_arrays(
     return offsets, neighbors
 
 
-def _sorted_segments(offsets: np.ndarray, neighbors: np.ndarray) -> bool:
-    """True if every CSR segment's neighbor list is ascending."""
-    if len(neighbors) < 2:
-        return True
-    diffs = np.diff(neighbors.astype(np.int64))
-    within = np.ones(len(diffs), dtype=bool)
-    boundaries = offsets[1:-1] - 1
-    boundaries = boundaries[(boundaries >= 0) & (boundaries < len(diffs))]
-    within[boundaries] = False
-    return not bool(np.any(diffs[within] < 0))
-
-
 def _csr_from_validated(
     offsets: np.ndarray, neighbors: np.ndarray
 ) -> CSRGraph:
     """Build a graph, restoring the sorted-neighbor invariant if the
     external file stored unsorted adjacency lists (T-OPT's transpose
     walks binary-search them)."""
-    if not _sorted_segments(offsets, neighbors):
-        num_vertices = len(offsets) - 1
-        sources = np.repeat(
-            np.arange(num_vertices, dtype=np.int64), np.diff(offsets)
-        )
-        neighbors = neighbors[np.lexsort((neighbors, sources))]
-    return CSRGraph(offsets=offsets, neighbors=neighbors)
+    graph = CSRGraph(offsets=offsets, neighbors=neighbors)
+    return graph.with_sorted_neighbors()
 
 
 # ----------------------------------------------------------------------

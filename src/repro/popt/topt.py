@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PolicyError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, run_starts, split_sorted_keys
 from ..memory.layout import ArraySpan
 from ..policies.base import ReplacementPolicy
 from ..sim.constants import TOPT_NEVER, TOPT_STREAMING
@@ -70,30 +70,18 @@ def build_line_reference_csr(
     binary-search directly.
     """
     n = reference_graph.num_vertices
-    degrees = reference_graph.degrees()
-    elems = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    lines = elems // elems_per_line
-    outer = reference_graph.neighbors.astype(np.int64)
-    order = np.lexsort((outer, lines))
-    lines_sorted = lines[order]
-    outer_sorted = outer[order]
-    if lines_sorted.size:
-        # Dedup (line, outer) pairs: after the lexsort duplicates are
-        # adjacent, so a keep-mask replaces the per-line np.unique calls.
-        keep = np.empty(lines_sorted.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(
-            lines_sorted[1:] != lines_sorted[:-1],
-            outer_sorted[1:] != outer_sorted[:-1],
-            out=keep[1:],
-        )
-        lines_sorted = lines_sorted[keep]
-        outer_sorted = outer_sorted[keep]
-    offsets = np.searchsorted(
-        lines_sorted, np.arange(num_lines + 1, dtype=np.int64),
-        side="left",
-    ).astype(np.int64)
-    return offsets, np.ascontiguousarray(outer_sorted, dtype=np.int64)
+    # Packed (line, outer) keys: one sort orders each line's references,
+    # and a keep-mask over adjacent keys drops the duplicates that
+    # several elements of one line contribute. line < n and outer < n,
+    # so keys stay below n * n (CSR's MAX_VERTICES bound keeps that in
+    # int64).
+    keys = np.arange(n, dtype=np.int64) // elems_per_line
+    keys *= n
+    keys = np.repeat(keys, reference_graph.degrees())
+    keys += reference_graph.neighbors
+    keys.sort()
+    keys = keys[run_starts(keys)]
+    return split_sorted_keys(keys, num_lines, n)
 
 
 def build_line_references(

@@ -177,10 +177,9 @@ class PrivateFilter:
             if next_use is None:
                 next_use = np.full(m, m, dtype=np.int64)
                 if m:
-                    pos = np.arange(m, dtype=np.int64)
-                    order = np.lexsort((pos, lines))
-                    sorted_lines = lines[order]
-                    sorted_pos = pos[order]
+                    # A stable sort keeps each line's positions ascending.
+                    sorted_pos = np.argsort(lines, kind="stable")
+                    sorted_lines = lines[sorted_pos]
                     same = sorted_lines[:-1] == sorted_lines[1:]
                     next_use[sorted_pos[:-1][same]] = sorted_pos[1:][same]
             _freeze(next_use)

@@ -60,10 +60,12 @@ own output), so it always takes the generic loop.
 the sets through the order of fills (BRRIP/DRRIP's seeded fill RNG and
 DRRIP's PSEL set-dueling counter, the PC-indexed predictor tables of
 SHiP-PC and Hawkeye), so these kernels keep the original access order
-and inline the per-access updates. The fill draws are pre-generated in
-Python with the policy's own ``random.Random`` (one per access is a
-safe upper bound on fills) and handed over as a float64 array —
-consumption order matches the reference's lazy draws exactly.
+and inline the per-access updates. The fill draws are pre-generated
+as a float64 array (one per access is a safe upper bound on fills):
+the policy's ``random.Random(seed)`` is seeded in CPython and its
+MT19937 state handed to numpy's ``RandomState``, which draws the same
+53-bit doubles ~9x faster. Consumption order matches the reference's
+lazy draws exactly.
 
 **Next-ref** (T-OPT, P-OPT) — the paper's own policies, with the
 region-membership scan hoisted out of the loop: every access's line is
@@ -205,9 +207,18 @@ def _fill_draws(seed: int, n: int) -> np.ndarray:
     """Pre-generate the fill-order RNG draws a BRRIP-family replay may
     consume: the same ``random.Random(seed).random()`` sequence the
     reference policy draws lazily, one per access as an upper bound on
-    fills (the compiled kernel consumes a prefix in identical order)."""
-    draw = random.Random(seed).random
-    return np.fromiter((draw() for _ in range(n)), dtype=np.float64, count=n)
+    fills (the compiled kernel consumes a prefix in identical order).
+
+    Both generators are MT19937 with the same 53-bit double
+    construction, so the seeded CPython state transfers as is:
+    ``getstate()[1]`` is the 624-word key plus the position, exactly
+    what ``RandomState.set_state`` takes. CPython does the seeding
+    (and its int/str/bytes seed hashing); numpy does the drawing.
+    """
+    key = random.Random(seed).getstate()[1]
+    generator = np.random.RandomState()
+    generator.set_state(("MT19937", key[:-1], key[-1]))
+    return generator.random_sample(n)
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +383,7 @@ def compiled_next_use(lines: np.ndarray) -> Optional[np.ndarray]:
     """Compact next-use chain via ``k_next_use``, or None.
 
     One backward C scan with an open-addressing line map replaces the
-    ``np.lexsort`` neighbour-compare in
+    stable-argsort neighbour-compare in
     :meth:`~repro.sim.engine.PrivateFilter.compact_next_use`; values
     are identical (next position of the same line, stream length when
     never seen again).
