@@ -1,4 +1,4 @@
-"""Cold-path sorts and fill draws: packed-key paths vs the former ones.
+"""Cold-path sorts, fill draws and RM encode: new paths vs the former ones.
 
 A cold ``compare`` run used to spend most of its time building the
 graph: ``from_edges`` row-sorted the edge list with
@@ -7,14 +7,18 @@ build, the transpose and T-OPT's line-reference table now each sort
 packed int64 ``row * n + col`` keys once and drop duplicates with an
 adjacent-difference keep-mask. The BRRIP-family fill draws now come from
 numpy's MT19937 loaded with ``random.Random(seed)``'s state instead of
-one Python ``random()`` call per access.
+one Python ``random()`` call per access. The Rereference Matrix encode
+computes each epoch's distance to the next referencing epoch as a
+running minimum over the reversed epoch axis, in place at int32, instead
+of one strided pass per epoch column.
 
 This bench times each new path against the former implementation,
 kept below as the oracle, on DBP at large scale (the stand-in graph of
 the ``compare_cold`` workload). Every row asserts identical outputs.
 ``results/BENCH_cold.json`` records the timings; CI asserts identity
-and floors of 5x for the graph build and 4x for the fill draws (both
-conservative: measured ~40x and ~9x on a 2-vCPU Intel Xeon VM).
+and floors of 5x for the graph build, 4x for the fill draws and 1.5x
+for the RM encode (all conservative: measured ~30-40x, ~9-13x and ~2x on a
+2-vCPU Intel Xeon VM).
 
 Timing protocol: the raw edge array is captured once from the
 ``from_edges`` call ``datasets.load("DBP", "large")`` makes; each path
@@ -29,7 +33,13 @@ import numpy as np
 from common import run_once, write_cold_report
 
 from repro.graph import datasets, from_edges, generators
+from repro.popt.rereference import (
+    _encode_entries,
+    _reference_events,
+    epoch_geometry,
+)
 from repro.popt.topt import build_line_reference_csr
+from repro.sim.constants import rm_msb, rm_next_bit, rm_sentinel
 from repro.sim.kernels import _fill_draws
 
 GRAPH = "DBP"
@@ -37,10 +47,13 @@ SCALE = "large"
 SEED = 42
 ELEMS_PER_LINE = 16
 N_DRAWS = 1 << 21
+ENTRY_BITS = 8
+VARIANT = "inter_intra"
 REPEATS = 3
 
 BUILD_FLOOR = 5.0
 DRAWS_FLOOR = 4.0
+ENCODE_FLOOR = 1.5
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +113,34 @@ def fill_draws_oracle(seed, n):
     return np.fromiter((draw() for _ in range(n)), dtype=np.float64, count=n)
 
 
+def encode_oracle(referenced, last_sub, entry_bits, variant):
+    rows, num_epochs = referenced.shape
+    sentinel = rm_sentinel(entry_bits, variant)
+    next_epoch = np.full(rows, np.iinfo(np.int64).max // 2, np.int64)
+    distance = np.empty((rows, num_epochs), dtype=np.int64)
+    for epoch in range(num_epochs - 1, -1, -1):
+        column_referenced = referenced[:, epoch]
+        gap = np.minimum(next_epoch - epoch, sentinel)
+        distance[:, epoch] = np.where(column_referenced, 0, gap)
+        next_epoch = np.where(column_referenced, epoch, next_epoch)
+    entries = np.empty((rows, num_epochs), dtype=np.int64)
+    if variant == "inter_only":
+        entries[:] = np.minimum(distance, sentinel)
+    else:
+        clamped_sub = np.minimum(last_sub, sentinel)
+        inter = rm_msb(entry_bits) | np.minimum(distance, sentinel)
+        entries[:] = np.where(referenced, clamped_sub, inter)
+        if variant == "single_epoch":
+            accessed_next = np.zeros((rows, num_epochs), dtype=bool)
+            accessed_next[:, :-1] = referenced[:, 1:]
+            entries[:] = np.where(
+                referenced & accessed_next,
+                entries | rm_next_bit(entry_bits, variant),
+                entries,
+            )
+    return entries
+
+
 # ----------------------------------------------------------------------
 # Timing
 # ----------------------------------------------------------------------
@@ -121,7 +162,11 @@ def _identical(got, want):
     )
 
 
-def _row(stage, new_fn, old_fn, size):
+def _equal_values(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _row(stage, new_fn, old_fn, size, identical=_identical):
     new_s, new_out = _best_of(new_fn)
     old_s, old_out = _best_of(old_fn)
     return {
@@ -130,7 +175,7 @@ def _row(stage, new_fn, old_fn, size):
         "old_ms": round(old_s * 1e3, 3),
         "new_ms": round(new_s * 1e3, 3),
         "speedup": round(old_s / new_s, 2),
-        "identical": _identical(new_out, old_out),
+        "identical": identical(new_out, old_out),
     }
 
 
@@ -191,6 +236,26 @@ def cold_path_rows():
         lambda: (fill_draws_oracle(SEED, N_DRAWS),),
         N_DRAWS,
     ))
+    num_epochs, epoch_size, sub_epoch_size = epoch_geometry(
+        reference.num_vertices, ENTRY_BITS, VARIANT
+    )
+    elems = np.repeat(
+        np.arange(reference.num_vertices, dtype=np.int64),
+        reference.degrees(),
+    )
+    referenced, last_sub = _reference_events(
+        elems // ELEMS_PER_LINE, reference.neighbors.astype(np.int64),
+        num_lines, num_epochs, epoch_size, sub_epoch_size,
+    )
+    # The encode returns int32 and the oracle int64; both are narrowed
+    # to the matrix's storage dtype afterwards, so values must agree.
+    rows.append(_row(
+        "rm_encode",
+        lambda: (_encode_entries(referenced, last_sub, ENTRY_BITS, VARIANT),),
+        lambda: (encode_oracle(referenced, last_sub, ENTRY_BITS, VARIANT),),
+        referenced.size,
+        identical=_equal_values,
+    ))
     return rows
 
 
@@ -208,3 +273,4 @@ def bench_cold_path(benchmark):
         assert row["identical"], f"{row['stage']}: outputs differ"
     assert by_stage["graph_build"]["speedup"] >= BUILD_FLOOR, by_stage
     assert by_stage["fill_draws"]["speedup"] >= DRAWS_FLOOR, by_stage
+    assert by_stage["rm_encode"]["speedup"] >= ENCODE_FLOOR, by_stage

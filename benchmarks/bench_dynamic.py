@@ -11,7 +11,7 @@ entries at every batch size. ``results/BENCH_dynamic.json`` records the
 timings and the crossover batch size where the incremental path stops
 winning; CI asserts bit-identity everywhere and a >=2x incremental
 speedup for small batches (the floor is conservative — measured
-small-batch speedups are ~3-4x).
+small-batch speedups are ~12-62x).
 
 Timing protocol: the post-delta graph and its transpose are built once
 outside both timed regions (both paths need the same post-delta

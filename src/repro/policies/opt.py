@@ -14,6 +14,9 @@ T-OPT approaches (Section III) and P-OPT approximates.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import List
+
 import numpy as np
 
 from ..errors import PolicyError
@@ -32,20 +35,22 @@ class BeladyOPT(ReplacementPolicy):
         if next_use.ndim != 1:
             raise PolicyError("next_use must be a 1-D array")
         self._next_use_arr = next_use
-        # Plain Python list: element reads in the hot path beat numpy
-        # scalar extraction.
-        self._next_use = next_use.tolist()
+
+    @cached_property
+    def _next_use(self) -> List[int]:
+        # Plain Python list: element reads in the generic loop's hot path
+        # beat numpy scalar extraction. Built on first use, so a replay
+        # through the compiled kernel never pays for it.
+        return self._next_use_arr.tolist()
 
     def reset(self) -> None:
-        infinity = len(self._next_use) + 1
-        self._infinity = infinity
         self._line_next = [
             [0] * self.num_ways for _ in range(self.num_sets)
         ]
 
     def _record(self, set_idx: int, way: int, ctx) -> None:
         index = ctx.index
-        if index >= len(self._next_use):
+        if index >= len(self._next_use_arr):
             raise PolicyError(
                 "access index beyond the trace OPT was prepared for"
             )

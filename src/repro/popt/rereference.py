@@ -26,6 +26,7 @@ makes Table IV's "preprocessing is ~20% of one PageRank run" hold here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -100,13 +101,17 @@ class RereferenceMatrix:
         self._msb = rm_msb(self.entry_bits)
         self._next_bit = rm_next_bit(self.entry_bits, self.variant)
         self._low_mask = rm_low_mask(self.entry_bits, self.variant)
-        # Python nested lists beat numpy scalar extraction in the hot path,
-        # but converting huge matrices (fine-grained quantization on big
-        # graphs) would explode memory — fall back to numpy rows there.
+
+    @cached_property
+    def _rows(self):
+        """Rows for the scalar decode, built on its first call (the
+        replay kernel reads ``entries`` directly). Python nested lists
+        beat numpy scalar extraction in the hot path, but converting huge
+        matrices (fine-grained quantization on big graphs) would explode
+        memory — fall back to numpy rows there."""
         if self.entries.size <= 4_000_000:
-            self._rows = self.entries.tolist()
-        else:
-            self._rows = self.entries
+            return self.entries.tolist()
+        return self.entries
 
     # ------------------------------------------------------------------
     # Geometry
@@ -217,53 +222,74 @@ class RereferenceMatrix:
         return out
 
 
+def _reference_events(
+    rows: np.ndarray,
+    outer: np.ndarray,
+    num_rows: int,
+    num_epochs: int,
+    epoch_size: int,
+    sub_epoch_size: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(referenced, last_sub)`` from per-edge reference events.
+
+    Event ``i`` is row ``rows[i]`` touched at outer vertex ``outer[i]``.
+    ``referenced[r, e]`` says whether row ``r`` is touched in epoch
+    ``e`` and ``last_sub[r, e]`` is the sub-epoch of its final touch
+    there — the inputs :func:`_encode_entries` packs into entries.
+    """
+    epochs = outer // epoch_size
+    subs = (outer - epochs * epoch_size) // sub_epoch_size
+    referenced = np.zeros((num_rows, num_epochs), dtype=bool)
+    last_sub = np.zeros((num_rows, num_epochs), dtype=np.int64)
+    flat = rows * num_epochs + epochs
+    referenced.ravel()[flat] = True
+    np.maximum.at(last_sub.ravel(), flat, subs)
+    return referenced, last_sub
+
+
 def _encode_entries(
     referenced: np.ndarray,
     last_sub: np.ndarray,
     entry_bits: int,
     variant: str,
 ) -> np.ndarray:
-    """Encode per-line reference events into matrix entries (int64).
+    """Encode per-line reference events into matrix entries (int32).
 
     ``referenced``/``last_sub`` are ``(rows, num_epochs)`` arrays for
-    any subset of lines. The right-to-left distance scan and the field
-    packing are independent per row — the property that makes the
-    incremental path in :func:`update_rereference_matrix` bit-identical
-    to a full rebuild: re-encoding only the changed rows reproduces
-    exactly the rows the rebuild would produce.
+    any subset of lines. The distance scan and the field packing are
+    independent per row — the property that makes the incremental path
+    in :func:`update_rereference_matrix` bit-identical to a full
+    rebuild: re-encoding only the changed rows reproduces exactly the
+    rows the rebuild would produce.
+
+    The distance from epoch ``e`` to the next referencing epoch is a
+    running minimum from the right over "``e`` where referenced, else
+    past the end", minus ``e``. Every step runs in place in one int32
+    array: ``entry_bits <= 16``, so ``num_epochs + sentinel < 2**17``.
     """
     rows, num_epochs = referenced.shape
     sentinel = rm_sentinel(entry_bits, variant)
-
-    # Distance (in epochs) from each epoch to the next referencing epoch.
-    # Scan columns right-to-left carrying the next referencing epoch.
-    next_epoch = np.full(rows, np.iinfo(np.int64).max // 2, np.int64)
-    distance = np.empty((rows, num_epochs), dtype=np.int64)
-    for epoch in range(num_epochs - 1, -1, -1):
-        column_referenced = referenced[:, epoch]
-        gap = np.minimum(next_epoch - epoch, sentinel)
-        distance[:, epoch] = np.where(column_referenced, 0, gap)
-        next_epoch = np.where(column_referenced, epoch, next_epoch)
-
-    entries = np.empty((rows, num_epochs), dtype=np.int64)
+    epochs = np.arange(num_epochs, dtype=np.int32)
+    entries = np.where(referenced, epochs, np.int32(num_epochs + sentinel))
+    # Next referencing epoch at or after each epoch; an unreferenced
+    # tail keeps num_epochs + sentinel, which clamps to the sentinel.
+    backwards = entries[:, ::-1]
+    np.minimum.accumulate(backwards, axis=1, out=backwards)
+    entries -= epochs
+    np.minimum(entries, sentinel, out=entries)
     if variant == "inter_only":
         # Entry is the raw distance (0 while the epoch still references).
-        entries[:] = np.minimum(distance, sentinel)
-    else:
-        msb = rm_msb(entry_bits)
-        max_sub = sentinel
-        clamped_sub = np.minimum(last_sub, max_sub)
-        # Referenced epochs: MSB=0, low bits = final-access sub-epoch.
-        # Unreferenced epochs: MSB=1, low bits = clamped distance.
-        inter = msb | np.minimum(distance, sentinel)
-        entries[:] = np.where(referenced, clamped_sub, inter)
-        if variant == "single_epoch":
-            next_bit = rm_next_bit(entry_bits, variant)
-            accessed_next = np.zeros((rows, num_epochs), dtype=bool)
-            accessed_next[:, :-1] = referenced[:, 1:]
-            entries[:] = np.where(
-                referenced & accessed_next, entries | next_bit, entries
-            )
+        return entries
+    # Unreferenced epochs: MSB=1, low bits = clamped distance.
+    # Referenced epochs: MSB=0, low bits = final-access sub-epoch.
+    entries |= rm_msb(entry_bits)
+    np.minimum(last_sub, sentinel, out=entries, where=referenced,
+               casting="unsafe")
+    if variant == "single_epoch":
+        # Second MSB: the line is accessed again in the next epoch.
+        current = entries[:, :-1]
+        np.bitwise_or(current, rm_next_bit(entry_bits, variant), out=current,
+                      where=referenced[:, :-1] & referenced[:, 1:])
     return entries
 
 
@@ -295,19 +321,14 @@ def build_rereference_matrix(
     dtype = np.uint16 if entry_bits > 8 else np.uint8
 
     # Per-edge reference events: element v is touched at outer vertex d.
-    degrees = reference_graph.degrees()
-    elems = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    outer = reference_graph.neighbors.astype(np.int64)
-    lines = elems // elems_per_line
-    epochs = outer // epoch_size
-    subs = (outer - epochs * epoch_size) // sub_epoch_size
-
-    referenced = np.zeros((num_lines, num_epochs), dtype=bool)
-    last_sub = np.zeros((num_lines, num_epochs), dtype=np.int64)
-    flat = lines * num_epochs + epochs
-    referenced.ravel()[flat] = True
-    np.maximum.at(last_sub.ravel(), flat, subs)
-
+    elems = np.repeat(
+        np.arange(n, dtype=np.int64), reference_graph.degrees()
+    )
+    referenced, last_sub = _reference_events(
+        elems // elems_per_line,
+        reference_graph.neighbors.astype(np.int64),
+        num_lines, num_epochs, epoch_size, sub_epoch_size,
+    )
     entries = _encode_entries(referenced, last_sub, entry_bits, variant)
     return RereferenceMatrix(
         entries=entries.astype(dtype),
@@ -376,20 +397,14 @@ def update_rereference_matrix(
         np.repeat(starts, degrees) + within
     ].astype(np.int64)
 
-    num_epochs = matrix.num_epochs
-    epoch_size = matrix.epoch_size
-    epochs = outer // epoch_size
-    subs = (outer - epochs * epoch_size) // matrix.sub_epoch_size
     # Row index (within the recomputed submatrix) of each event.
     event_rows = np.searchsorted(
         lines, np.repeat(elems // elems_per_line, degrees)
     )
-
-    referenced = np.zeros((len(lines), num_epochs), dtype=bool)
-    last_sub = np.zeros((len(lines), num_epochs), dtype=np.int64)
-    flat = event_rows * num_epochs + epochs
-    referenced.ravel()[flat] = True
-    np.maximum.at(last_sub.ravel(), flat, subs)
+    referenced, last_sub = _reference_events(
+        event_rows, outer, len(lines), matrix.num_epochs,
+        matrix.epoch_size, matrix.sub_epoch_size,
+    )
 
     encoded = _encode_entries(
         referenced, last_sub, matrix.entry_bits, matrix.variant
@@ -402,7 +417,7 @@ def update_rereference_matrix(
         entries=new_entries,
         variant=matrix.variant,
         entry_bits=matrix.entry_bits,
-        epoch_size=epoch_size,
+        epoch_size=matrix.epoch_size,
         sub_epoch_size=matrix.sub_epoch_size,
         elems_per_line=elems_per_line,
         num_vertices=matrix.num_vertices,

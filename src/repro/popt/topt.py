@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,7 +115,6 @@ class TOPT(ReplacementPolicy):
         self._regions: List[Tuple[int, int, np.ndarray]] = []
         ref_parts: List[np.ndarray] = []
         total_refs = 0
-        total_lines = 0
         for stream in streams:
             span = stream.span
             line_base = span.base // line_size
@@ -127,26 +127,36 @@ class TOPT(ReplacementPolicy):
             )
             ref_parts.append(refs)
             total_refs += refs.size
-            total_lines += num_lines
         self._refs_arr = (
             np.concatenate(ref_parts) if ref_parts
             else np.empty(0, dtype=np.int64)
         )
-        self._refs: List[int] = self._refs_arr.tolist()
-        # line -> (refs range) lookup, first stream winning overlaps like
-        # the region scan. Gated like the Rereference Matrix row cache: a
-        # dict over tens of millions of lines is not worth its memory.
-        self._line_table: Optional[Dict[int, Tuple[int, int]]] = None
-        if total_lines <= 2_000_000:
-            table: Dict[int, Tuple[int, int]] = {}
-            for line_base, line_bound, offsets in reversed(self._regions):
-                bounds = offsets.tolist()
-                for index, line in enumerate(range(line_base, line_bound)):
-                    table[line] = (bounds[index], bounds[index + 1])
-            self._line_table = table
         # Counters quantifying the overhead an actual T-OPT would pay.
         self.replacements = 0
         self.transpose_walk_elements = 0
+
+    # The generic loop's lookup tables are built on first use, so a
+    # replay through the compiled kernel (which reads _refs_arr and
+    # _regions only) never pays for them.
+
+    @cached_property
+    def _refs(self) -> List[int]:
+        return self._refs_arr.tolist()
+
+    @cached_property
+    def _line_table(self) -> Optional[Dict[int, Tuple[int, int]]]:
+        """line -> (refs range), first stream winning overlaps like the
+        region scan. Gated like the Rereference Matrix row cache: a dict
+        over tens of millions of lines is not worth its memory."""
+        total_lines = sum(bound - base for base, bound, _ in self._regions)
+        if total_lines > 2_000_000:
+            return None
+        table: Dict[int, Tuple[int, int]] = {}
+        for line_base, line_bound, offsets in reversed(self._regions):
+            bounds = offsets.tolist()
+            for index, line in enumerate(range(line_base, line_bound)):
+                table[line] = (bounds[index], bounds[index + 1])
+        return table
 
     def reset(self) -> None:
         # Rebinding (or a mid-run cache reset) starts a fresh replay: the

@@ -52,7 +52,7 @@
             if ((resident)[_w] == (line)) { (way) = _w; break; }             \
     } while (0)
 
-/* Set-partitioned kernels carve 3-4 way-sized arrays from ws (the
+/* Set-partitioned kernels carve 3-7 way-sized arrays from ws (the
  * caller sizes it; see _c_partitioned in kernels.py) and re-initialize
  * them at every set boundary, so the workspace contents never leak
  * between sets or calls. */
@@ -410,6 +410,9 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
  * Counters beyond the hit/miss quartet go into a separate cnt[] array
  * so the Python wrapper can write them back onto the policy instance. */
 
+/* Upper end of an unbounded vertex interval. */
+#define VERTEX_MAX 0x7fffffffffffffffL
+
 static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 key)
 {
     while (lo < hi) {
@@ -419,7 +422,18 @@ static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 key)
     return lo;
 }
 
-/* cnt[0..1] += replacements, transpose_walk_elements */
+/* cnt[0..1] += replacements, transpose_walk_elements
+ *
+ * Each way memoizes its last lookup in its refs slice [wlo, whi): the
+ * vertex searched (wcv), the lower bound found (wcur) and the ref there
+ * (wref; TOPT_NEVER past the slice). Every ref before wcur is < wcv and
+ * the one at wcur is wref >= wcv, so for wcv <= vertex <= wref the lower
+ * bound is still wcur; past wref it can only have moved right, and only
+ * a vertex that went backwards (a wrapped multi-iteration trace) needs
+ * the part of the slice left of the cursor. A fill resets the memo to
+ * the slice start with wcv = wref = -1: vertices are non-negative, so
+ * the first lookup searches the whole slice. The walk is charged from
+ * the slice start exactly as TOPT._next_ref charges it. */
 void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
             const i64 *lo, const i64 *hi, const i64 *refs,
             const i64 *counts, i64 num_sets, i64 ways, i64 *ws,
@@ -432,13 +446,19 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
     i64 *wlo = ws + ways;
     i64 *whi = ws + 2 * ways;
     i64 *dirty = ws + 3 * ways;
+    i64 *wcur = ws + 4 * ways;
+    i64 *wcv = ws + 5 * ways;
+    i64 *wref = ws + 6 * ways;
     i64 start = 0, s, k, w;
     for (s = 0; s < num_sets; s++) {
         i64 count = counts[s];
         i64 stop = start + count;
         i64 filled = 0;
         if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; wlo[w] = 0; whi[w] = 0; dirty[w] = 0; }
+        for (w = 0; w < ways; w++) {
+            resident[w] = -1; wlo[w] = 0; whi[w] = 0; dirty[w] = 0;
+            wcur[w] = 0; wcv[w] = -1; wref[w] = -1;
+        }
         for (k = start; k < stop; k++) {
             i64 line = lines[k], way;
             PROBE(way, resident, filled, line);
@@ -454,14 +474,19 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
                     i64 victim = -1, best_way = 0, best = -1;
                     repl++;
                     for (w = 0; w < ways; w++) {
-                        i64 l = wlo[w], h, idx, stepped, r;
+                        i64 l = wlo[w], idx = wcur[w], stepped;
                         if (l < 0) { victim = w; break; } /* streaming */
-                        h = whi[w];
-                        idx = lower_bound(refs, l, h, vertex);
+                        if (vertex > wref[w] || vertex < wcv[w]) {
+                            idx = vertex > wref[w]
+                                ? lower_bound(refs, idx, whi[w], vertex)
+                                : lower_bound(refs, l, idx, vertex);
+                            wcur[w] = idx;
+                            wcv[w] = vertex;
+                            wref[w] = idx >= whi[w] ? never : refs[idx];
+                        }
                         stepped = idx - l;
                         walk += stepped > 1 ? stepped : 1;
-                        r = idx >= h ? never : refs[idx];
-                        if (r > best) { best = r; best_way = w; }
+                        if (wref[w] > best) { best = wref[w]; best_way = w; }
                     }
                     way = victim >= 0 ? victim : best_way;
                     evics++;
@@ -471,6 +496,9 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
                 dirty[way] = writes[k];
                 wlo[way] = lo[k];
                 whi[way] = hi[k];
+                wcur[way] = lo[k];
+                wcv[way] = -1;
+                wref[way] = -1;
             }
         }
         start = stop;
@@ -483,23 +511,42 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
  * stream's POPT_SPARAM_SLOTS-slot parameter block (layout
  * POPT_SP_*, mirroring constants.POPT_SPARAM_LAYOUT). All operands
  * are non-negative, so C integer division is the floor division the
- * Python decode uses. */
+ * Python decode uses.
+ *
+ * Besides the next-ref it stores in [*vlo, *vhi] the vertex interval
+ * over which the answer holds for this row: the decode reads only the
+ * current epoch's entry (and, past the final-access sub-epoch, the next
+ * one), so the answer is fixed within the epoch, split at the first
+ * vertex past the final-access sub-epoch e0 + (last_sub+1)*ssize when
+ * the line is referenced in it; past the last epoch it is the sentinel
+ * for every vertex. */
 static i64 popt_next_ref(const i64 *sp, const i64 *entries, i64 row_base,
-                         i64 vertex)
+                         i64 vertex, i64 *vlo, i64 *vhi)
 {
     i64 variant = sp[POPT_SP_VARIANT], msb = sp[POPT_SP_MSB];
     i64 low = sp[POPT_SP_LOW_MASK], nbit = sp[POPT_SP_NEXT_BIT];
     i64 esize = sp[POPT_SP_EPOCH_SIZE], ssize = sp[POPT_SP_SUB_EPOCH_SIZE];
     i64 nepochs = sp[POPT_SP_NUM_EPOCHS];
     i64 epoch = vertex / esize;
-    i64 current, last_sub, curr_sub, next;
-    if (epoch >= nepochs) return low;
+    i64 e0 = epoch * esize;
+    i64 current, split, next;
+    if (epoch >= nepochs) {
+        *vlo = nepochs * esize;
+        *vhi = VERTEX_MAX;
+        return low;
+    }
+    *vlo = e0;
+    *vhi = e0 + esize - 1;
     current = entries[row_base + epoch];
     if (variant == RM_VARIANT_INTER_ONLY) return current;
     if (current & msb) return current & low;
-    last_sub = current & low;
-    curr_sub = (vertex - epoch * esize) / ssize;
-    if (curr_sub <= last_sub) return 0;
+    /* Referenced this epoch: 0 up to the final-access sub-epoch. */
+    split = e0 + ((current & low) + 1) * ssize;
+    if (vertex < split) {
+        if (split - 1 < *vhi) *vhi = split - 1;
+        return 0;
+    }
+    *vlo = split;
     if (variant == RM_VARIANT_SINGLE_EPOCH) return (current & nbit) ? 1 : 2;
     if (epoch + 1 >= nepochs) return low;
     next = entries[row_base + epoch + 1];
@@ -508,7 +555,14 @@ static i64 popt_next_ref(const i64 *sp, const i64 *entries, i64 row_base,
 }
 
 /* cnt[0..4] += replacements, streaming_evictions, rm_lookups, ties,
- * tie_candidates (epoch accounting is vectorized on the Python side) */
+ * tie_candidates (epoch accounting is vectorized on the Python side)
+ *
+ * Each (set, way) caches its last decode as (mlo, mhi, mr): the next-ref
+ * mr and the vertex interval [mlo, mhi] popt_next_ref reports it valid
+ * over. The row a way decodes changes only on a fill, which empties the
+ * interval ([1, 0]; vertices are non-negative), so a cached answer is
+ * exactly what a fresh decode would return. rm_lookups still counts one
+ * lookup per irregular way examined, as POPT._lookup does. */
 void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
             const i64 *sidx, const i64 *sid, const i64 *row_base, i64 n,
             i64 num_sets, i64 ways,
@@ -525,12 +579,15 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
     i64 *wsid = ws + 2 * total;
     i64 *wrb = ws + 3 * total;
     i64 *dirty = ws + 4 * total;
-    i64 *filled = ws + 5 * total;
-    i64 *wref = ws + 5 * total + num_sets;
+    i64 *mlo = ws + 5 * total;
+    i64 *mhi = ws + 6 * total;
+    i64 *mr = ws + 7 * total;
+    i64 *filled = ws + 8 * total;
+    i64 *wref = ws + 8 * total + num_sets;
     i64 k, w, dc = 0;
     for (k = 0; k < total; k++) {
         resident[k] = -1; rrpv[k] = rmax; wsid[k] = -1; wrb[k] = -1;
-        dirty[k] = 0;
+        dirty[k] = 0; mlo[k] = 1; mhi[k] = 0; mr[k] = 0;
     }
     for (k = 0; k < num_sets; k++) filled[k] = 0;
     for (k = 0; k < n; k++) {
@@ -563,9 +620,13 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                         }
                         r = POPT_STREAMING_NEXT_REF;
                     } else {
+                        i64 m = base + w;
                         rml++;
-                        r = popt_next_ref(sparams + POPT_SPARAM_SLOTS * sw,
-                                          entries, wrb[base + w], vertex);
+                        if (vertex < mlo[m] || vertex > mhi[m])
+                            mr[m] = popt_next_ref(
+                                sparams + POPT_SPARAM_SLOTS * sw, entries,
+                                wrb[m], vertex, mlo + m, mhi + m);
+                        r = mr[m];
                     }
                     wref[w] = r;
                     if (r > best) best = r;
@@ -595,6 +656,8 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
             dirty[base + way] = writes[k];
             wsid[base + way] = sid[k];
             wrb[base + way] = row_base[k];
+            mlo[base + way] = 1;
+            mhi[base + way] = 0;
             /* DRRIP tie-break fill (same sequence as k_drrip). */
             role = leader[s];
             if (role == 1) {

@@ -73,7 +73,10 @@ resolved against the irregular base/bound regions once per prepared
 run (:meth:`~repro.sim.engine.PrivateFilter.stream_membership`), each
 way remembers its resident line's annotation, and the victim scan is a
 binary search over T-OPT's flat refs CSR / inlined Algorithm 2
-arithmetic over the Rereference Matrix rows. T-OPT is set-partitioned
+arithmetic over the Rereference Matrix rows. Each way also memoizes its
+last answer with the vertex interval over which it is exact, so a scan
+reads memory only when the current vertex has left that interval
+(DESIGN.md §10 has the argument). T-OPT is set-partitioned
 (no cross-set state, additive counters); P-OPT runs in access order
 because its DRRIP tie-break carries the same PSEL/RNG coupling as
 :func:`kernel_drrip`. Both write the engine-cost counters the timing
@@ -691,7 +694,8 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     remembers the (lo, hi) refs slice of its resident line (annotated
     per access in the preamble — no region scan in the loop); a victim
     scan binary-searches each slice for the current outer vertex,
-    accounting the same walk elements as ``TOPT._next_ref``, and the
+    resuming from the way's memoized cursor, accounting the same walk
+    elements as ``TOPT._next_ref``, and the
     first streaming way (``lo < 0``) short-circuits exactly like the
     reference. Counters are written back onto the policy instance so
     the timing model reads identical values from every engine.
@@ -706,7 +710,7 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
         _i64(slines), _u8(swrites), _i64(sverts),
         _i64(slo), _i64(shi), _i64(policy._refs_arr),
         _i64(counts), config.num_sets, config.num_ways,
-        _i64(_ws(4 * config.num_ways)), _i64(out), _i64(cnt),
+        _i64(_ws(7 * config.num_ways)), _i64(out), _i64(cnt),
     )
     policy.replacements = int(cnt[0])
     policy.transpose_walk_elements = int(cnt[1])
@@ -721,7 +725,9 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     kept (``POPT.replay_kernel`` only advertises this kernel when the
     tie-break is exactly DRRIP). Region membership is resolved once in
     the preamble; each way remembers its resident line's (stream, RM
-    row) so a victim scan is pure Algorithm 2 arithmetic per way, with
+    row) so a victim scan is pure Algorithm 2 arithmetic per way —
+    skipped while the vertex stays inside the interval the way's last
+    decode holds for — with
     the reference's counter semantics: ``rm_lookups`` per irregular way
     examined, first-streaming-way short-circuit (when preferred), and
     first-max + DRRIP-RRPV resolution over tied ways.
@@ -786,7 +792,7 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
         tie.rrpv_max, BRRIP.TRICKLE, tie.psel_max,
         _i64(_drrip_leader_roles(num_sets, tie.leader_period)),
         _f64(_fill_draws(tie._seed, n)),
-        _i64(_ws(5 * num_sets * num_ways + num_sets + num_ways)),
+        _i64(_ws(8 * num_sets * num_ways + num_sets + num_ways)),
         _i64(out), _i64(cnt),
     )
     (replacements, streaming_evictions, rm_lookups,

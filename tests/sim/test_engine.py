@@ -452,6 +452,50 @@ def small_prepared():
     return prepare_run(PageRank(), uniform_random(128, avg_degree=4.0, seed=3))
 
 
+def topt_counters(prepared, hierarchy, engine):
+    """(replacements, transpose_walk_elements) of one T-OPT replay.
+
+    The counters live on the policy instance (SimResult only carries
+    P-OPT's), so each engine replays its own instance.
+    """
+    from repro.cache import CacheHierarchy
+    from repro.popt.topt import TOPT
+    from repro.sim.driver import replay
+
+    policy = TOPT(prepared.irregular_streams, line_size=hierarchy.line_size)
+    if engine == "reference":
+        replay(prepared.trace, CacheHierarchy(hierarchy, policy))
+    else:
+        ReplayEngine(prepared, hierarchy).run(
+            policy, use_kernel=(engine == "fast")
+        )
+    return policy.replacements, policy.transpose_walk_elements
+
+
+def assert_next_ref_engines_agree(prepared, hierarchy, policy, **kwargs):
+    """fast, generic and reference agree on stats and on every engine-cost
+    counter; returns the counters."""
+    engines = ("fast", "generic", "reference")
+    fast, generic, ref = (
+        simulate_prepared(prepared, policy, hierarchy, engine=engine, **kwargs)
+        for engine in engines
+    )
+    assert_fast_kernel(fast)
+    assert_results_match(fast, generic)
+    assert_results_match(fast, ref)
+    if policy == "T-OPT":
+        counters = [topt_counters(prepared, hierarchy, e) for e in engines]
+        replacements = counters[0][0]
+    else:
+        counters = [fast.popt_counters, generic.popt_counters,
+                    ref.popt_counters]
+        replacements = counters[0]["replacements"]
+    assert counters[0] == counters[1] == counters[2]
+    # The victim scan (and so the kernels' next-ref memo) must run.
+    assert replacements > 0
+    return counters[0]
+
+
 class TestPoptKernelEquivalence:
     """The next-ref kernels (T-OPT, P-OPT) are bit-identical to the
     generic and reference paths — in per-level stats AND the engine-cost
@@ -613,6 +657,121 @@ class TestPoptKernelEquivalence:
         assert_results_match(fast, ref)
         assert fast.popt_counters == generic.popt_counters
         assert fast.popt_counters == ref.popt_counters
+
+
+    # The kernels memoize each way's last next-ref lookup and reuse it
+    # while the vertex stays inside the lookup's validity interval. The
+    # cases below move the vertex and the interval boundaries around, on
+    # an LLC small enough that victim scans run on most LLC accesses.
+
+    @pytest.fixture(scope="class")
+    def tight(self):
+        return HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=2, num_ways=4),
+            llc=CacheConfig("LLC", num_sets=4, num_ways=8),
+        )
+
+    @pytest.mark.parametrize("policy", POPT_POLICIES)
+    def test_wrapped_vertex_channel(self, tight, policy):
+        # Two traced iterations: the vertex channel runs back to 0, so
+        # memoized lookups from the end of the first iteration are ahead
+        # of the current vertex.
+        prepared = prepare_run(
+            PageRank(num_trace_iterations=2),
+            uniform_random(512, avg_degree=6.0, seed=7),
+        )
+        assert (np.diff(prepared.trace.vertices) < 0).any()
+        assert_next_ref_engines_agree(prepared, tight, policy)
+
+    @pytest.mark.parametrize("entry_bits", [4, 8])
+    @pytest.mark.parametrize("policy", POPT_POLICIES)
+    def test_jittered_vertex_channel(self, prepared, tight, policy, entry_bits):
+        # A vertex channel that ramps past the last epoch while jittering
+        # back and forth: lookups cross every memoized interval edge in
+        # both directions, not only forwards.
+        from repro.apps.base import PreparedRun
+        from repro.memory.trace import MemoryTrace
+
+        trace = prepared.trace
+        n = len(trace)
+        rng = np.random.default_rng(5)
+        ramp = np.arange(n, dtype=np.int64) * 640 // n
+        vertices = np.maximum(ramp + rng.integers(-8, 9, n), 0)
+        jittered = PreparedRun(
+            app_name=prepared.app_name,
+            layout=prepared.layout,
+            trace=MemoryTrace(
+                addresses=trace.addresses,
+                pcs=trace.pcs,
+                writes=trace.writes,
+                vertices=vertices.astype(np.int32),
+            ),
+            irregular_streams=prepared.irregular_streams,
+            details=dict(prepared.details),
+        )
+        assert_next_ref_engines_agree(
+            jittered, tight, policy, entry_bits=entry_bits
+        )
+
+    @pytest.mark.parametrize("entry_bits", [4, 16])
+    @pytest.mark.parametrize("policy", ["P-OPT", "P-OPT-Inter", "P-OPT-SE"])
+    def test_entry_bits_move_epoch_boundaries(
+        self, prepared, tight, policy, entry_bits
+    ):
+        # 4 bits: 16 wide epochs split into few sub-epochs; 16 bits: one
+        # vertex per epoch, so every vertex step crosses a boundary.
+        assert_next_ref_engines_agree(
+            prepared, tight, policy, entry_bits=entry_bits
+        )
+
+    @pytest.mark.parametrize("policy", POPT_POLICIES)
+    def test_push_direction_app(self, tight, policy):
+        from repro.apps import ConnectedComponents
+
+        assert ConnectedComponents.info.execution_style == "push"
+        prepared = prepare_run(
+            ConnectedComponents(), power_law(512, avg_degree=6.0, seed=11)
+        )
+        assert_next_ref_engines_agree(prepared, tight, policy)
+
+    def test_kernel_run_skips_generic_tables(self, tight):
+        # The generic loop's Python lookup tables are built on first use:
+        # a compiled replay never touches them, a generic one does.
+        from repro.policies.registry import make_policy
+        from repro.popt.topt import TOPT
+        from repro.sim.driver import _build_popt_policy
+
+        if not ckernels.available():
+            pytest.skip("no C toolchain: every replay is generic")
+        hierarchy = tight
+        prepared = prepare_run(
+            PageRank(), uniform_random(256, avg_degree=4.0, seed=29)
+        )
+        ctx = PolicyContext()
+        ctx.next_use = llc_filtered_next_use(
+            prepared.trace, hierarchy, prepared=prepared
+        )
+        topt = TOPT(prepared.irregular_streams, line_size=hierarchy.line_size)
+        popt, _ = _build_popt_policy(
+            prepared, "inter_intra", 8, hierarchy.line_size
+        )
+        opt = make_policy("OPT", ctx)
+        tables = [
+            (topt, ("_refs", "_line_table")),
+            (popt, ("_line_table",)),
+            (opt, ("_next_use",)),
+        ] + [(stream.matrix, ("_rows",)) for stream in popt.streams]
+        engine = ReplayEngine(prepared, hierarchy)
+        for policy in (topt, popt, opt):
+            assert engine.run(policy).kernel is not None
+        for owner, names in tables:
+            for name in names:
+                assert name not in vars(owner), (owner, name)
+        for policy in (topt, popt, opt):
+            assert engine.run(policy, use_kernel=False).kernel is None
+        for owner, names in tables:
+            for name in names:
+                assert name in vars(owner), (owner, name)
 
 
 class TestCompactNextUse:
