@@ -50,8 +50,11 @@ SECTIONS = [
         "sparse frontiers; smallest gain on KRON.",
         "Reproduced in shape and magnitude class: geomean speedups and "
         "mean miss reductions are printed under the table; ordering "
-        "LRU < DRRIP < P-OPT < T-OPT holds per app-graph cell, with "
-        "KRON the weakest input exactly as the paper reports. Frontier "
+        "LRU < DRRIP < P-OPT < T-OPT holds in every app-graph cell but "
+        "five: P-OPT misses more than DRRIP on KRON for PR-Delta "
+        "(-0.07), Radii (-0.068) and MIS (-0.001), and DRRIP is slower "
+        "than LRU on UK-02 for PR-Delta and Radii (0.905). KRON is the "
+        "weakest input exactly as the paper reports. Frontier "
         "apps gain less than PR/CC (two Rereference Matrices), also "
         "matching the paper.",
     ),

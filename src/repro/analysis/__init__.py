@@ -14,14 +14,25 @@ cover the broken combination. Rule families:
 - ``hotpath``      — per-access work creeping back into replay loops
 - ``kernels``      — replay-kernel dispatch coverage
 - ``spec-coverage`` — experiment specs vs the registries they name
-- ``par``          — worker purity for process-parallel sweep workers
-- ``dtype``        — flow-based numpy dtype/width inference against the
-  declared capacity contracts (``sim/constants.py:WIDTH_CONTRACTS``)
+- ``dtype``        — platform-default integers in replay/prepare code
 
-The C kernel boundary needs no family: ``sim/ckernels.py`` generates
-the C prototypes and shared constants from one Python table, so ABI
-drift fails the kernel build (reported on the ``ckernels:`` status
-line every run prints).
+Some guarantees need no family because they hold at run time or by
+construction:
+
+- The C kernel boundary: ``sim/ckernels.py`` generates the C
+  prototypes and shared constants from one Python table, so ABI drift
+  fails the kernel build (reported on the ``ckernels:`` status line
+  every run prints).
+- Worker purity: shared arrays are read-only from birth,
+  ``REPRO_WORKER_GUARD=1`` hashes the frozen registries at every task
+  boundary, and sweep rows must be identical across ``jobs=1``,
+  ``jobs=N`` and the spawn start method.
+- Storage widths: ``check_width_contracts`` on sanitized runs, the
+  vertex-count check at graph build, and the dtype checks at the C
+  boundary.
+
+DESIGN.md §9 maps each retired rule to the run-time test that replaces
+it.
 
 See :mod:`repro.analysis.runner` for the CLI and
 ``# simlint: allow[rule]`` pragmas for intentional exceptions (pragmas

@@ -1,208 +1,42 @@
-"""``dtype`` rule family: numpy width/dtype contracts, flow-checked.
+"""``dtype`` rule family: platform-default integers in replay/prepare code.
 
-P-OPT's correctness is a bit-width story — 8/16-bit Rereference Matrix
-entries, epoch counters quantized to ``2^entry_bits``, ``int64`` next-use
-sentinels, ``int32`` CSR neighbor IDs — where a width mismatch wraps
-silently instead of raising. These rules put the dtype story under
-static discipline, using the :mod:`repro.analysis.dtypeflow` inference
-engine. (Arrays crossing into the compiled kernels need no rule: the
-``_i64``/``_u8``/``_f64`` wrappers in :mod:`repro.sim.kernels` refuse a
-wrong dtype or a strided view at the call.)
-
-- ``dtype-overflow`` — a store of a provably-wider unguarded integer
-  into a narrower integer array (or into a field bound by
-  :data:`repro.sim.constants.WIDTH_CONTRACTS`), and unguarded
-  accumulation (``+=``/``*=``/``<<=``) into sub-32-bit arrays. Clamped
-  values (``np.minimum``/``np.clip``/``& mask``/``%``) pass.
-- ``dtype-implicit-upcast`` — arithmetic mixing integer arrays of
-  different widths inside hot-path/worker-reachable functions: numpy
-  silently materializes the promotion, doubling large-array memory in
-  exactly the functions that touch whole-graph arrays.
-- ``dtype-narrowing-cast`` — ``.astype(...)`` to a narrower same-kind
-  dtype when no range guard was seen on the value's path.
 - ``dtype-unspecified`` — array creation in replay/prepare code relying
   on the *platform-default* integer (``np.arange`` without ``dtype``,
   ``np.full`` with an integer fill, bare ``np.bincount``): 64-bit on
-  the measurement hosts, 32-bit elsewhere, so goldens silently fork.
+  the measurement hosts, 32-bit on numpy 1.x Windows and on 32-bit
+  builds, so goldens silently fork.
 
-Scope: ``dtype-overflow`` and ``dtype-narrowing-cast`` apply
-everywhere (they fire only on *proved* dtypes); the memory/portability
-rules (``dtype-implicit-upcast``,
-``dtype-unspecified``) are confined to replay/prepare code — functions
-that are worker-reachable (via the ``par`` family's call graph), on the
-configured replay path, or in the ``sim``/``popt``/``graph``
-subpackages.
+This is the one width rule that stays static. Every run-time check sees
+the host's own default, which is already int64 wherever the suite runs,
+so no test here can fail on the seeded bug; the fork only shows on a
+platform CI does not run. The other width guarantees hold at run time:
+:func:`repro.sim.widthcontracts.check_width_contracts` on sanitized
+runs, :func:`repro.graph.csr.check_vertex_count` at graph build, and
+the ``_i64``/``_u8``/``_f64`` wrappers at the C boundary (DESIGN.md §9).
 
-Suppression is the standard ``# simlint: allow[dtype-...]`` pragma.
+Scope: functions in the simulator's replay/prepare subpackages
+(:data:`_PREPARE_DIRS`) and functions on the configured replay path.
+
+Suppression is the standard ``# simlint: allow[dtype-unspecified]``
+pragma.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .astutil import SourceModule, dotted_name, pragma_allows
-from .dtypeflow import (
-    DtypeFlow,
-    Value,
-    dtype_width,
-    is_float_dtype,
-    is_integer_dtype,
-    parse_dtype_node,
-)
 from .findings import Finding
 from .hotpath import DEFAULT_REPLAY_PATH
-from .purity import CallGraph, FunctionInfo
 
-__all__ = ["DTYPE_RULES", "check_dtypes", "dtype_status_lines"]
+__all__ = ["DTYPE_RULES", "check_dtypes"]
 
-DTYPE_RULES = (
-    "dtype-implicit-upcast",
-    "dtype-narrowing-cast",
-    "dtype-overflow",
-    "dtype-unspecified",
-)
+DTYPE_RULES = ("dtype-unspecified",)
 
-#: Subpackages whose modules count as replay/prepare scope even without
-#: worker reachability (the simulator core).
-_PREPARE_DIRS = frozenset({"sim", "popt", "graph"})
-
-#: Accumulating in-place ops that can saturate a narrow counter.
-_ACCUMULATING_OPS = (ast.Add, ast.Sub, ast.Mult, ast.LShift, ast.Pow)
-
-
-# ----------------------------------------------------------------------
-# Static evaluation of sim/constants.py (no code from the scanned tree
-# is executed)
-# ----------------------------------------------------------------------
-
-def _sim_module(
-    modules: Iterable[SourceModule], name: str
-) -> Optional[SourceModule]:
-    for module in modules:
-        parts = module.path.parts
-        if module.path.name == name and len(parts) >= 2 \
-                and parts[-2] == "sim":
-            return module
-    return None
-
-
-def _module_assigns(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            yield node.targets[0].id, node.value
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name) \
-                and node.value is not None:
-            yield node.target.id, node.value
-
-
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.LShift: lambda a, b: a << b,
-    ast.RShift: lambda a, b: a >> b,
-    ast.BitOr: lambda a, b: a | b,
-    ast.BitAnd: lambda a, b: a & b,
-    ast.BitXor: lambda a, b: a ^ b,
-    ast.Div: lambda a, b: a / b,
-}
-
-_MISSING = object()
-
-
-def _eval_static(node: ast.AST, env: Dict[str, object]) -> object:
-    """Evaluate module-level constant expressions (no names executed)."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env.get(node.id, _MISSING)
-    if isinstance(node, ast.Tuple):
-        elts = [_eval_static(e, env) for e in node.elts]
-        return _MISSING if _MISSING in elts else tuple(elts)
-    if isinstance(node, ast.Dict):
-        out = {}
-        for key, value in zip(node.keys, node.values):
-            if key is None:
-                return _MISSING
-            k = _eval_static(key, env)
-            v = _eval_static(value, env)
-            if k is _MISSING or v is _MISSING:
-                return _MISSING
-            out[k] = v
-        return out
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        left = _eval_static(node.left, env)
-        right = _eval_static(node.right, env)
-        if left is _MISSING or right is _MISSING:
-            return _MISSING
-        try:
-            return _BINOPS[type(node.op)](left, right)
-        except (TypeError, ValueError, ZeroDivisionError):
-            return _MISSING
-    if isinstance(node, ast.UnaryOp):
-        operand = _eval_static(node.operand, env)
-        if operand is _MISSING:
-            return _MISSING
-        if isinstance(node.op, ast.USub):
-            return -operand  # type: ignore[operator]
-        if isinstance(node.op, ast.Invert):
-            return ~operand  # type: ignore[operator]
-        return _MISSING
-    return _MISSING
-
-
-def _constants_env(module: SourceModule) -> Dict[str, object]:
-    """Module-level constants of ``module``, statically evaluated."""
-    env: Dict[str, object] = {}
-    for name, value in _module_assigns(module.tree):
-        result = _eval_static(value, env)
-        if result is not _MISSING:
-            env[name] = result
-    return env
-
-
-def _load_contracts(
-    modules: Sequence[SourceModule],
-) -> Dict[str, Dict[str, object]]:
-    """Statically evaluate ``sim/constants.py:WIDTH_CONTRACTS``."""
-    constants = _sim_module(modules, "constants.py")
-    if constants is None:
-        return {}
-    env = _constants_env(constants)
-    contracts = env.get("WIDTH_CONTRACTS")
-    if not isinstance(contracts, dict):
-        return {}
-    return {
-        str(name): spec
-        for name, spec in contracts.items()
-        if isinstance(spec, dict)
-    }
-
-
-def _contract_bindings(
-    contracts: Dict[str, Dict[str, object]],
-) -> Dict[str, Tuple[str, str]]:
-    """attribute name -> (contract name, declared dtype) for every
-    ``binds`` entry (``"RereferenceMatrix.entries"`` binds ``entries``)."""
-    bindings: Dict[str, Tuple[str, str]] = {}
-    for name, spec in contracts.items():
-        binds = spec.get("binds")
-        dtypes = spec.get("dtype")
-        if not isinstance(binds, tuple) or not isinstance(dtypes, tuple) \
-                or not dtypes:
-            continue
-        for bound in binds:
-            if isinstance(bound, str) and "." in bound:
-                attr = bound.rsplit(".", 1)[-1]
-                bindings[attr] = (name, str(dtypes[0]))
-    return bindings
+#: Subpackages whose functions build the arrays a replay reads: graph
+#: build, trace generation, policy set-up and the replay engine.
+_PREPARE_DIRS = frozenset({"sim", "popt", "graph", "apps", "memory"})
 
 
 def _module_prepare_scope(module: SourceModule) -> bool:
@@ -214,53 +48,15 @@ def _module_prepare_scope(module: SourceModule) -> bool:
     ))
 
 
-def _iter_functions(
-    module: SourceModule,
-) -> List[Tuple[str, Optional[str], ast.FunctionDef]]:
-    """(qualname, class name, node) for every function/method."""
-    out: List[Tuple[str, Optional[str], ast.FunctionDef]] = []
+def _iter_functions(module: SourceModule):
+    """(qualname, node) for every module-level function and method."""
     for node in module.tree.body:
         if isinstance(node, ast.FunctionDef):
-            out.append((node.name, None, node))
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    out.append((f"{node.name}.{item.name}", node.name,
-                                item))
-    return out
-
-
-def _statement_expressions(stmt: ast.stmt) -> List[ast.AST]:
-    """Expression roots belonging to *this* statement alone (bodies of
-    nested compound statements get their own flow callback)."""
-    if isinstance(stmt, ast.Assign):
-        return [*stmt.targets, stmt.value]
-    if isinstance(stmt, ast.AugAssign):
-        return [stmt.target, stmt.value]
-    if isinstance(stmt, ast.AnnAssign):
-        return [stmt.target] + ([stmt.value] if stmt.value else [])
-    if isinstance(stmt, (ast.Expr, ast.Return)):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, ast.If):
-        return [stmt.test]
-    if isinstance(stmt, ast.While):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.target, stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.Assert):
-        return [stmt.test] + ([stmt.msg] if stmt.msg else [])
-    if isinstance(stmt, ast.Raise):
-        return [n for n in (stmt.exc, stmt.cause) if n is not None]
-    if isinstance(stmt, (ast.Delete,)):
-        return list(stmt.targets)
-    return []
-
-
-def _walk_expressions(stmt: ast.stmt):
-    for root in _statement_expressions(stmt):
-        yield from ast.walk(root)
+                    yield f"{node.name}.{item.name}", item
 
 
 def _creation_trap(
@@ -304,274 +100,36 @@ def _creation_trap(
     return None
 
 
-class _DtypeChecker:
-    """One pass over every function, all four rules in one flow walk."""
-
-    def __init__(
-        self,
-        modules: Sequence[SourceModule],
-        replay_path: FrozenSet[str],
-        graph: Optional[CallGraph] = None,
-    ) -> None:
-        self.modules = list(modules)
-        self.graph = graph if graph is not None else CallGraph(modules)
-        self.flow = DtypeFlow(modules, self.graph)
-        self.replay_path = replay_path
-        self.reachable: Set[Tuple[str, str]] = set(
-            self.graph.worker_reachable()
-        )
-        self.contracts = _load_contracts(modules)
-        self.bindings = _contract_bindings(self.contracts)
-        self.findings: List[Finding] = []
-        self._parents: Dict[int, ast.AST] = {}
-
-    # -- plumbing ------------------------------------------------------
-
-    def run(self) -> List[Finding]:
-        for module in self.modules:
-            self._parents = {
-                id(child): parent
-                for parent in ast.walk(module.tree)
-                for child in ast.iter_child_nodes(parent)
-            }
-            for qualname, class_name, func in _iter_functions(module):
-                self._check_function(module, qualname, class_name, func)
-        return self.findings
-
-    def _emit(
-        self, module: SourceModule, rule: str, lineno: int, message: str
-    ) -> None:
-        if not pragma_allows(module, rule, lineno):
-            self.findings.append(Finding(
-                rule=rule, path=module.display_path, line=lineno,
-                message=message,
-            ))
-
-    def _hot(
-        self, module: SourceModule, qualname: str,
-        func: ast.FunctionDef,
-    ) -> bool:
-        if qualname in self.replay_path:
-            return True
-        key = (str(module.path), qualname)
-        return key in self.reachable
-
-    def _prepare_scope(
-        self, module: SourceModule, qualname: str, func: ast.FunctionDef
-    ) -> bool:
-        return _module_prepare_scope(module) \
-            or self._hot(module, qualname, func)
-
-    # -- per-function driver -------------------------------------------
-
-    def _check_function(
-        self,
-        module: SourceModule,
-        qualname: str,
-        class_name: Optional[str],
-        func: ast.FunctionDef,
-    ) -> None:
-        hot = self._hot(module, qualname, func)
-        prepare = _module_prepare_scope(module) or hot
-
-        def callback(stmt: ast.stmt, env: Dict[str, Value]) -> None:
-            infer = lambda n: self.flow.infer(  # noqa: E731
-                n, env, module, class_name
-            )
-            self._check_stores(module, qualname, stmt, env, infer)
-            for node in _walk_expressions(stmt):
-                if isinstance(node, ast.Call):
-                    self._check_narrowing(module, qualname, node, infer)
-                    if prepare:
-                        self._check_unspecified(module, qualname, node)
-                elif isinstance(node, ast.BinOp) and hot:
-                    self._check_upcast(module, qualname, node, infer)
-
-        self.flow.scan_function(module, func, callback, class_name)
-
-    # -- dtype-narrowing-cast ------------------------------------------
-
-    def _check_narrowing(
-        self, module: SourceModule, qualname: str, call: ast.Call, infer
-    ) -> None:
-        func = call.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "astype"
-                and call.args):
-            return
-        target = parse_dtype_node(call.args[0])
-        if target is None:
-            return
-        source: Value = infer(func.value)
-        if not source.known() or source.bounded:
-            return
-        src_width = dtype_width(source.dtype)
-        dst_width = dtype_width(target)
-        if src_width is None or dst_width is None or dst_width >= src_width:
-            return
-        same_kind = (
-            (is_integer_dtype(source.dtype) and is_integer_dtype(target))
-            or (is_float_dtype(source.dtype) and is_float_dtype(target))
-        )
-        if not same_kind:
-            return
-        self._emit(
-            module, "dtype-narrowing-cast", call.lineno,
-            f"{qualname} casts {source.dtype} to {target} with no range "
-            f"guard on the path; clamp first (np.minimum/np.clip/mask) "
-            f"or validate the maximum before narrowing",
-        )
-
-    # -- dtype-overflow ------------------------------------------------
-
-    def _check_stores(
-        self,
-        module: SourceModule,
-        qualname: str,
-        stmt: ast.stmt,
-        env: Dict[str, Value],
-        infer,
-    ) -> None:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                self._check_one_store(
-                    module, qualname, target, stmt.value, infer
-                )
-        elif isinstance(stmt, ast.AugAssign):
-            self._check_one_store(
-                module, qualname, stmt.target, stmt.value, infer,
-                op=stmt.op,
-            )
-
-    def _store_target(
-        self, target: ast.AST, infer
-    ) -> Tuple[Optional[str], Optional[str], Optional[str]]:
-        """(target dtype, description, contract name) of a store
-        destination, or (None, None, None) when untracked."""
-        base = target
-        if isinstance(base, ast.Subscript):
-            base = base.value
-        if isinstance(base, ast.Name):
-            value: Value = infer(base)
-            if value.known() and value.is_array:
-                return value.dtype, f"array {base.id!r}", None
-            return None, None, None
-        if isinstance(base, ast.Attribute):
-            bound = self.bindings.get(base.attr)
-            if bound is not None:
-                contract, declared = bound
-                return declared, f"contract-bound field .{base.attr}", \
-                    contract
-        return None, None, None
-
-    def _check_one_store(
-        self,
-        module: SourceModule,
-        qualname: str,
-        target: ast.AST,
-        value: ast.AST,
-        infer,
-        op: Optional[ast.operator] = None,
-    ) -> None:
-        tgt_dtype, describe, contract = self._store_target(target, infer)
-        if tgt_dtype is None or not is_integer_dtype(tgt_dtype):
-            return
-        tgt_width = dtype_width(tgt_dtype) or 64
-        lineno = getattr(target, "lineno", getattr(value, "lineno", 1))
-        rhs: Value = infer(value)
-        contract_note = (
-            f" (WIDTH_CONTRACTS[{contract!r}])" if contract else ""
-        )
-        if op is not None:
-            # Accumulation into a narrow counter: saturation risk even
-            # from same-width addends.
-            if isinstance(op, _ACCUMULATING_OPS) and tgt_width <= 16 \
-                    and not rhs.bounded:
-                self._emit(
-                    module, "dtype-overflow", lineno,
-                    f"{qualname} accumulates into {tgt_width}-bit "
-                    f"{describe}{contract_note} without a clamp; "
-                    f"unbounded growth wraps silently in numpy",
-                )
-            return
-        if isinstance(value, ast.Call) and isinstance(
-            value.func, ast.Attribute
-        ) and value.func.attr == "astype":
-            return  # an explicit cast is dtype-narrowing-cast's business
-        if not rhs.known() or rhs.bounded \
-                or not is_integer_dtype(rhs.dtype):
-            return
-        rhs_width = dtype_width(rhs.dtype) or 64
-        if rhs_width <= tgt_width:
-            return
-        self._emit(
-            module, "dtype-overflow", lineno,
-            f"{qualname} stores an unguarded {rhs.dtype} value into "
-            f"{tgt_dtype} {describe}{contract_note}; values above "
-            f"2^{tgt_width}-1 wrap silently — clamp or validate first",
-        )
-
-    # -- dtype-implicit-upcast -----------------------------------------
-
-    def _check_upcast(
-        self, module: SourceModule, qualname: str, node: ast.BinOp, infer
-    ) -> None:
-        left: Value = infer(node.left)
-        right: Value = infer(node.right)
-        if not (left.is_array and right.is_array):
-            return
-        if not (is_integer_dtype(left.dtype)
-                and is_integer_dtype(right.dtype)):
-            return
-        lw = dtype_width(left.dtype) or 64
-        rw = dtype_width(right.dtype) or 64
-        if lw == rw:
-            return
-        narrow, wide = (left.dtype, right.dtype) if lw < rw \
-            else (right.dtype, left.dtype)
-        self._emit(
-            module, "dtype-implicit-upcast", node.lineno,
-            f"{qualname} mixes {narrow} and {wide} arrays in "
-            f"arithmetic on a hot path; numpy materializes an upcast "
-            f"copy of the {narrow} side — align dtypes explicitly",
-        )
-
-    # -- dtype-unspecified ---------------------------------------------
-
-    def _check_unspecified(
-        self, module: SourceModule, qualname: str, call: ast.Call
-    ) -> None:
-        reason = _creation_trap(call, self._parents)
-        if reason is None:
-            return
-        self._emit(
-            module, "dtype-unspecified", call.lineno,
-            f"{qualname} (replay/prepare path): {reason}; pin an "
-            f"explicit dtype so results cannot fork across platforms",
-        )
-
-
 def check_dtypes(
     modules: Sequence[SourceModule],
     replay_path: FrozenSet[str] = DEFAULT_REPLAY_PATH,
-    graph: Optional[CallGraph] = None,
 ) -> List[Finding]:
     """Run the ``dtype`` family over the scanned modules."""
-    return _DtypeChecker(modules, replay_path, graph).run()
-
-
-def dtype_status_lines(modules: Sequence[SourceModule]) -> List[str]:
-    """Context lines for the runner's report footer."""
-    contracts = _load_contracts(modules)
-    if not contracts:
-        return [
-            "dtype: no WIDTH_CONTRACTS registry in the scanned set "
-            "(contract-bound checks inactive)"
-        ]
-    bound = sum(
-        1 for spec in contracts.values()
-        if isinstance(spec.get("binds"), tuple)
-    )
-    return [
-        f"dtype: {len(contracts)} width contract(s) declared, "
-        f"{bound} with static field bindings"
-    ]
+    findings: List[Finding] = []
+    for module in modules:
+        in_scope = _module_prepare_scope(module)
+        parents = {
+            id(child): parent
+            for parent in ast.walk(module.tree)
+            for child in ast.iter_child_nodes(parent)
+        }
+        for qualname, func in _iter_functions(module):
+            if not (in_scope or qualname in replay_path):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                reason = _creation_trap(node, parents)
+                if reason is None or pragma_allows(
+                    module, "dtype-unspecified", node.lineno
+                ):
+                    continue
+                findings.append(Finding(
+                    rule="dtype-unspecified",
+                    path=module.display_path,
+                    line=node.lineno,
+                    message=f"{qualname} (replay/prepare path): {reason}; "
+                            f"pin an explicit dtype so results cannot "
+                            f"fork across platforms",
+                ))
+    return findings

@@ -19,11 +19,10 @@ from typing import FrozenSet, List, Optional, Sequence
 from .astutil import _PRAGMA, SourceModule, iter_python_files, load_module
 from .contract import check_policy_contracts
 from .determinism import check_determinism
-from .dtyperules import DTYPE_RULES, check_dtypes, dtype_status_lines
+from .dtyperules import DTYPE_RULES, check_dtypes
 from .findings import Finding, format_findings
 from .hotpath import DEFAULT_REPLAY_PATH, check_hot_paths
 from .kernelcov import check_kernels
-from .parsafety import PAR_RULES, check_parsafety, par_status_lines
 from .registry_drift import check_registry
 from .speccov import check_spec_coverage
 
@@ -31,7 +30,7 @@ __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
     "policy", "determinism", "hotpath", "registry", "kernels",
-    "spec-coverage", "par", "dtype",
+    "spec-coverage", "dtype",
 )
 
 #: Every rule id a suppression pragma may legally name. Pragmas naming
@@ -61,7 +60,6 @@ KNOWN_RULES = frozenset(
         "spec-coverage-unregistered",
         "spec-coverage-registry",
     )
-    + PAR_RULES
     + DTYPE_RULES
     + RULE_FAMILIES
 )
@@ -159,8 +157,6 @@ def run_simlint(
         findings.extend(check_kernels(modules))
     if "spec-coverage" in families:
         findings.extend(check_spec_coverage(modules))
-    if "par" in families:
-        findings.extend(check_parsafety(modules))
     if "dtype" in families:
         findings.extend(check_dtypes(modules, config.replay_path))
     return _stable_findings(findings)
@@ -211,7 +207,6 @@ _FAMILY_PREFIXES = (
     ("hotpath-", "hotpath"),
     ("policy-", "policy"),
     ("kernel-", "kernels"),
-    ("par-", "par"),
     ("dtype-", "dtype"),
 )
 
@@ -243,8 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
-                    "hot-path hygiene, worker purity, dtype/width "
-                    "contracts)",
+                    "hot-path hygiene, platform-default dtypes)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -288,17 +282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     findings = run_simlint(paths, SimlintConfig(families=families))
 
-    def status_lines() -> List[str]:
-        lines: List[str] = [_ckernels_status()]
-        modules: Optional[List[SourceModule]] = None
-        if "par" in families or "dtype" in families:
-            modules, _ = _load_modules([Path(p) for p in paths])
-        if "par" in families and modules is not None:
-            lines.extend(par_status_lines(modules))
-        if "dtype" in families and modules is not None:
-            lines.extend(dtype_status_lines(modules))
-        return lines
-
     if args.json:
         scanned = len(iter_python_files([Path(p) for p in paths]))
         report = {
@@ -314,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             },
             "families": list(families),
             "scanned_files": scanned,
-            "status": status_lines(),
+            "status": [_ckernels_status()],
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 1 if findings else 0
@@ -325,8 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"simlint: {len(findings)} finding(s) "
             f"[{_family_counts(findings)}]"
         )
-        for line in status_lines():
-            print(line)
+        print(_ckernels_status())
         return 1
     if not args.quiet:
         scanned = len(iter_python_files([Path(p) for p in paths]))
@@ -334,6 +316,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"simlint: OK ({scanned} files, "
             f"families: {', '.join(families)})"
         )
-        for line in status_lines():
-            print(line)
+        print(_ckernels_status())
     return 0

@@ -224,7 +224,7 @@ def traversal_trace(
     writes = np.zeros(total, dtype=bool)
     # Vertex IDs are bounded by num_vertices, which the csr.neighbors
     # width contract keeps below 2^31 (checked at graph build time).
-    vertices = np.repeat(order, block_len).astype(np.int32)  # simlint: allow[dtype-narrowing-cast]
+    vertices = np.repeat(order, block_len).astype(np.int32)
 
     # Offsets-array read at each block start.
     addresses[block_starts] = oa_span.addr_of(order)

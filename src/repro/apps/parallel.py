@@ -48,7 +48,7 @@ def epoch_serial_parallel_order(
     order = []
     for epoch_start in range(0, num_vertices, epoch_size):
         epoch_end = min(epoch_start + epoch_size, num_vertices)
-        vertices = np.arange(epoch_start, epoch_end)
+        vertices = np.arange(epoch_start, epoch_end, dtype=np.int64)
         chunks = [
             vertices[i:i + chunk] for i in range(0, len(vertices), chunk)
         ]

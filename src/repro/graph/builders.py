@@ -198,7 +198,7 @@ def from_edges_chunked(
         positions = next_free[sources] + ranks
         # Destination IDs were validated < num_vertices above (both
         # passes), so they fit the int32 neighbors contract.
-        neighbors[positions] = edges[order, 1]  # simlint: allow[dtype-overflow]
+        neighbors[positions] = edges[order, 1]
         if payload_out is not None and payload is not None:
             payload_out[positions] = payload[order]
         next_free[uniq] += group_count

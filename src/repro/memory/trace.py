@@ -28,7 +28,29 @@ __all__ = [
     "decode_trace",
     "TraceBuilder",
     "concat_traces",
+    "read_only",
 ]
+
+
+def read_only(array):
+    """A read-only view of ``array`` whose write flag cannot come back.
+
+    Arrays shared across replays and worker tasks (decode channels,
+    filter channels and products, artifact-store loads) must refuse
+    in-place writes. ``setflags(write=False)`` alone is reversible on
+    an array that owns its memory: ``setflags(write=True)`` turns it
+    back on. numpy refuses that only on a view whose memory owner is
+    read-only, so the owner is frozen and a fresh view handed out.
+    Memory owned by a read-only buffer (an ``mmap_mode="r"`` load) is
+    refused already. Non-ndarray values pass through untouched (tests
+    hand-build filters with plain lists).
+    """
+    if not isinstance(array, np.ndarray):
+        return array
+    owner = array.base if isinstance(array.base, np.ndarray) else array
+    owner.setflags(write=False)
+    array.setflags(write=False)
+    return array.view()
 
 
 class AccessKind:
@@ -194,8 +216,8 @@ class DecodedTrace:
         # (and every worker task touching the prepared run), so the
         # channels are read-only from birth; ``pcs``/``writes``/
         # ``vertices`` alias the source trace, freezing those too.
-        for channel in (self.lines, self.pcs, self.writes, self.vertices):
-            channel.setflags(write=False)
+        for name in ("lines", "pcs", "writes", "vertices"):
+            setattr(self, name, read_only(getattr(self, name)))
         self._channel_lists: dict = {}
 
     def __len__(self) -> int:

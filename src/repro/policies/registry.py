@@ -50,7 +50,6 @@ _FACTORIES: Dict[str, Callable[[PolicyContext], ReplacementPolicy]] = {}
 
 register_worker_state(
     "repro.policies.registry._FACTORIES",
-    kind="frozen",
     note="policy registry, populated by import-time decorators; "
          "worker-executed code must not register policies",
 )
@@ -96,13 +95,6 @@ def policy_names() -> List[str]:
 # ----------------------------------------------------------------------
 
 _REPLAY_KERNELS: Optional[Dict[type, str]] = None
-
-register_worker_state(
-    "repro.policies.registry._REPLAY_KERNELS",
-    kind="cache",
-    note="lazily-built exact-type kernel dispatch table; identical in "
-         "every process by construction",
-)
 
 
 def replay_kernels() -> Dict[type, str]:

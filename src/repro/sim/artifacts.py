@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import worker_state
+from ..memory.trace import read_only
 
 __all__ = [
     "ArtifactStore",
@@ -190,12 +190,11 @@ class ArtifactStore:
         except (OSError, ValueError):
             self._count(kind, "misses")
             return None
-        for array in arrays.values():
-            # mmap_mode="r" already maps read-only; make the contract
-            # explicit so a future non-mmap load path cannot silently
-            # hand out writable views of store-shared pages. Mutating
-            # callers must .copy().
-            array.setflags(write=False)
+        # mmap_mode="r" already maps read-only; make the contract
+        # explicit so a future non-mmap load path cannot silently hand
+        # out writable views of store-shared pages. Mutating callers
+        # must .copy().
+        arrays = {name: read_only(array) for name, array in arrays.items()}
         self._count(kind, "hits")
         return {"meta": payload.get("meta", {}), "arrays": arrays}
 
@@ -250,13 +249,6 @@ class ArtifactStore:
 #: Per-process store cache so counters accumulate across call sites.
 _STORES: Dict[str, ArtifactStore] = {}
 
-worker_state.register_worker_state(
-    "repro.sim.artifacts._STORES",
-    kind="cache",
-    note="per-process store handles; counters are process-local by "
-         "design and the on-disk state is content-addressed",
-)
-
 
 def get_store() -> Optional[ArtifactStore]:
     """The ambient store (``REPRO_ARTIFACTS_DIR``), or None when off."""
@@ -290,13 +282,6 @@ def configure(root) -> Optional[ArtifactStore]:
 #: ``(abspath, mtime_ns, size)`` -> sha256, so repeated sweep tasks over
 #: the same graph file hash it once per process, not once per task.
 _FILE_SHA_CACHE: Dict[Tuple[str, int, int], str] = {}
-
-worker_state.register_worker_state(
-    "repro.sim.artifacts._FILE_SHA_CACHE",
-    kind="cache",
-    note="per-process file-content sha memo keyed by (path, mtime, "
-         "size); stale entries self-invalidate via the stat signature",
-)
 
 
 def file_content_sha(path) -> str:

@@ -52,7 +52,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from . import worker_state
 from .constants import C_PARITY
 
 __all__ = [
@@ -79,18 +78,6 @@ _LIB: Union[None, bool, SimpleNamespace] = None
 #: Human-readable reason the last build/load attempt failed (compiler
 #: diagnostic, missing toolchain, dlopen error), or None.
 _BUILD_ERROR: Optional[str] = None
-
-worker_state.register_worker_state(
-    "repro.sim.ckernels._LIB",
-    kind="cache",
-    note="per-process memoized dlopen handle; the .so itself is "
-         "content-hash-cached on disk with atomic rename",
-)
-worker_state.register_worker_state(
-    "repro.sim.ckernels._BUILD_ERROR",
-    kind="cache",
-    note="per-process build diagnostic paired with _LIB",
-)
 
 _I64P = ctypes.POINTER(ctypes.c_longlong)
 _U8P = ctypes.POINTER(ctypes.c_ubyte)

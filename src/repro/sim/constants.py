@@ -185,24 +185,21 @@ HAWKEYE_COUNTER_INITIAL = 4
 
 
 # ----------------------------------------------------------------------
-# Declared capacity contracts (simlint ``dtype`` + check_width_contracts)
+# Declared capacity contracts (checked by check_width_contracts)
 # ----------------------------------------------------------------------
 
 #: Every quantized field the simulator stores in a deliberately narrow
 #: dtype, with its declared storage and the width its values must fit.
 #:
-#: Schema (all values statically evaluable — simlint's ``dtype`` family
-#: reads this table without importing the package):
+#: Schema:
 #:
 #: - ``dtype``   — admissible numpy storage dtypes, narrowest first;
 #: - ``max_bits``— hard ceiling on the *value* width (``check_width_
 #:   contracts`` asserts actual maxima fit; for RM entries the live
 #:   bound is ``entry_bits``, this is its admissible range's top);
-#: - ``binds``   — ``Class.attr`` fields carrying the contract (the
-#:   static ``dtype-overflow`` rule flags unguarded wide stores into
-#:   them by name);
+#: - ``binds``   — ``Class.attr`` fields carrying the contract;
 #: - ``guard``   — where the clamp/validation documented for the field
-#:   lives (the "documented guard" the lint accepts).
+#:   lives.
 #:
 #: :func:`repro.sim.widthcontracts.check_width_contracts` gives this
 #: table runtime teeth on sanitized runs.

@@ -51,7 +51,7 @@ from ..cache.cache import AccessContext, SetAssociativeCache
 from ..cache.config import CacheConfig, HierarchyConfig
 from ..cache.stats import CacheStats
 from ..errors import SimulationError
-from ..memory.trace import MemoryTrace, decode_trace
+from ..memory.trace import MemoryTrace, decode_trace, read_only
 from . import artifacts
 from .kernels import (
     KernelRequest,
@@ -71,23 +71,6 @@ __all__ = [
     "llc_visible_next_use",
     "llc_compact_next_use",
 ]
-
-
-def _freeze(*arrays: np.ndarray) -> None:
-    """Mark arrays read-only (shared across replays and worker tasks).
-
-    Filter channels and memoized products are handed to every policy
-    replay of the run — and, under ``--jobs``, re-read across worker
-    task boundaries — so an in-place write through one consumer would
-    silently corrupt every later replay. ``setflags(write=False)`` turns
-    that race into an immediate ``ValueError``; consumers that need a
-    scratch copy take ``.copy()`` explicitly. Non-ndarray channels
-    (tests hand-build filters with plain lists) pass through untouched,
-    mirroring the ``np.asarray`` tolerance in the accessors.
-    """
-    for array in arrays:
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
 
 
 @dataclass
@@ -123,11 +106,15 @@ class PrivateFilter:
     def __post_init__(self) -> None:
         # Single choke point covering both freshly-built filters and
         # ones rehydrated from the artifact store: every shared channel
-        # is read-only from birth.
-        _freeze(
-            self.mask, self.lines, self.pcs, self.writes,
-            self.vertices, self.indices,
-        )
+        # is read-only from birth. Filter channels and memoized products
+        # are handed to every policy replay of the run (and, under
+        # --jobs, re-read across worker task boundaries), so an in-place
+        # write through one consumer would silently corrupt every later
+        # replay; read_only turns it into an immediate ValueError, and
+        # consumers that need scratch space take .copy().
+        for name in ("mask", "lines", "pcs", "writes", "vertices",
+                     "indices"):
+            setattr(self, name, read_only(getattr(self, name)))
         self._lists: Optional[tuple] = None
         self._compact_next_use: Optional[np.ndarray] = None
         self._partition_arrays: Dict[int, tuple] = {}
@@ -182,8 +169,7 @@ class PrivateFilter:
                     sorted_lines = lines[sorted_pos]
                     same = sorted_lines[:-1] == sorted_lines[1:]
                     next_use[sorted_pos[:-1][same]] = sorted_pos[1:][same]
-            _freeze(next_use)
-            self._compact_next_use = next_use
+            self._compact_next_use = read_only(next_use)
         return self._compact_next_use
 
     def set_partition_arrays(self, config: CacheConfig) -> tuple:
@@ -214,7 +200,7 @@ class PrivateFilter:
                     ),
                     order,
                 )
-            _freeze(*cached)
+            cached = tuple(read_only(array) for array in cached)
             self._partition_arrays[num_sets] = cached
         return cached
 
@@ -228,8 +214,7 @@ class PrivateFilter:
                 set_idx = lines & (num_sets - 1)
             else:
                 set_idx = lines % num_sets
-            cached = np.ascontiguousarray(set_idx, dtype=np.int64)
-            _freeze(cached)
+            cached = read_only(np.ascontiguousarray(set_idx, dtype=np.int64))
             self._set_index_arrays[num_sets] = cached
         return cached
 
@@ -245,10 +230,9 @@ class PrivateFilter:
         cached = self._partition_vertices.get(num_sets)
         if cached is None:
             order = self.set_partition_arrays(config)[3]
-            cached = np.ascontiguousarray(
+            cached = read_only(np.ascontiguousarray(
                 np.asarray(self.vertices)[order], dtype=np.int64
-            )
-            _freeze(cached)
+            ))
             self._partition_vertices[num_sets] = cached
         return cached
 
@@ -272,8 +256,7 @@ class PrivateFilter:
                 match = (sid < 0) & (lines >= line_base) & (lines < line_bound)
                 sid[match] = index
                 off[match] = lines[match] - line_base
-            _freeze(sid, off)
-            cached = (sid, off)
+            cached = (read_only(sid), read_only(off))
             self._memberships[bounds] = cached
         return cached
 

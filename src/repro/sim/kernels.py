@@ -832,7 +832,6 @@ KERNEL_TABLE: Dict[str, Callable[[KernelRequest], CacheStats]] = {
 
 worker_state.register_worker_state(
     "repro.sim.kernels.KERNEL_TABLE",
-    kind="frozen",
     note="kernel dispatch table, fixed at import; worker-executed code "
          "must not add or swap kernels",
 )

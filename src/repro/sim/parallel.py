@@ -1,5 +1,5 @@
-"""Parallel sweep execution: fan (graph, app, policy-chunk) work items
-over a process pool.
+"""Sweep work items: (graph, app, policy-chunk) tasks and the worker
+that runs them.
 
 A policy sweep is embarrassingly parallel *between* work items — each
 (graph, app, policy) simulation is independent — but naively pickling
@@ -15,11 +15,15 @@ by all policies chunked into the same task. Nothing large crosses the
 process boundary in either direction — results come back as plain
 per-policy stat dicts.
 
+The one orchestrator is :func:`repro.sim.spec.run_spec`: it expands an
+:class:`~repro.sim.spec.ExperimentSpec` into tasks and fans them over a
+process pool running :func:`run_task`.
+
 Determinism: simulations are replay-exact regardless of which process
-runs them (policies draw from their own seeded RNGs), and
-:func:`run_sweep` returns rows in task-submission order, so
-``jobs=N`` output is bit-identical to ``jobs=1`` output
-(``tests/sim/test_parallel.py`` locks this in).
+runs them (policies draw from their own seeded RNGs), and ``run_spec``
+returns rows in task-submission order, so ``jobs=N`` output is
+bit-identical to ``jobs=1`` output (``tests/sim/test_parallel.py``
+locks this in).
 
 Chunking: group a few policies per task (:func:`policy_chunks`) so the
 per-worker prepare cost amortizes, but keep chunks small enough to
@@ -32,7 +36,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,8 +52,7 @@ __all__ = [
     "SweepTask",
     "policy_chunks",
     "pool_context",
-    "run_sweep",
-    "sweep_rows",
+    "run_task",
     "task_hierarchy",
     "validate_technique",
 ]
@@ -69,7 +71,6 @@ APP_FACTORIES = {
 
 worker_state.register_worker_state(
     "repro.sim.parallel.APP_FACTORIES",
-    kind="frozen",
     note="app dispatch table; must be an import-time constant in "
          "every worker",
 )
@@ -189,13 +190,6 @@ def policy_chunks(
 # sweeps fast — the bound only matters once a sweep touches more
 # (app, graph, technique) combinations than fit.
 _PREPARED_CACHE: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
-
-worker_state.register_worker_state(
-    "repro.sim.parallel._PREPARED_CACHE",
-    kind="cache",
-    note="per-process prepared-run LRU; rebuilt deterministically from "
-         "task descriptors, so divergence across workers is invisible",
-)
 
 #: Override the per-process prepared-run cache bound (entries).
 PREPARED_CACHE_ENV = "REPRO_PREPARED_CACHE"
@@ -385,59 +379,3 @@ def pool_context():
     if not method:
         return None
     return multiprocessing.get_context(method)
-
-
-def run_sweep(
-    tasks: Sequence[SweepTask], jobs: int = 1
-) -> List[Dict[str, object]]:
-    """Run sweep tasks, optionally across ``jobs`` worker processes.
-
-    Results are the concatenation of each task's rows **in task order**
-    (policies in task-declared order within a task), independent of
-    which worker finished first — output is identical for any ``jobs``
-    and any start method (workers rebuild state deterministically from
-    task descriptors; nothing depends on fork-inherited snapshots).
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        out: List[Dict[str, object]] = []
-        for task in tasks:
-            out.extend(run_task(task))
-        return out
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=pool_context()
-    ) as pool:
-        # Executor.map preserves input order, so collation is trivial.
-        per_task = list(pool.map(run_task, tasks, chunksize=1))
-    return [row for rows in per_task for row in rows]
-
-
-def sweep_rows(
-    graphs: Sequence[str],
-    policies: Sequence[str],
-    apps: Sequence[str] = ("PR",),
-    scale: str = "small",
-    seed: int = 42,
-    jobs: int = 1,
-    chunk_size: int = 2,
-    engine: str = "fast",
-) -> List[Dict[str, object]]:
-    """Convenience matrix sweep: graphs x apps x policies -> stat rows.
-
-    Chunks the policy axis (policies sharing a chunk reuse one worker's
-    prepared run and filter caches) and fans the (graph, app, chunk)
-    items over :func:`run_sweep`.
-    """
-    tasks = [
-        SweepTask(
-            graph=graph,
-            app=app,
-            policies=chunk,
-            scale=scale,
-            seed=seed,
-            engine=engine,
-        )
-        for graph in graphs
-        for app in apps
-        for chunk in policy_chunks(policies, chunk_size)
-    ]
-    return run_sweep(tasks, jobs=jobs)

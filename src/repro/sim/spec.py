@@ -14,8 +14,9 @@ function. This module replaces the loops with data:
    policy) point each, with a stable content hash — and
    :meth:`ExperimentSpec.tasks` groups consecutive units sharing a
    prepared run into :class:`~repro.sim.parallel.SweepTask` chunks.
-3. **Execute** — :func:`run_spec` fans the tasks over
-   :func:`~repro.sim.parallel.run_sweep` (``jobs=N`` output is
+3. **Execute** — :func:`run_spec`, the one sweep orchestrator, fans
+   the tasks over a process pool running
+   :func:`~repro.sim.parallel.run_task` (``jobs=N`` output is
    bit-identical to serial) and can stream rows as they finish. With an
    artifact store configured (:mod:`repro.sim.artifacts`), graphs,
    prepared runs, private filters, Rereference Matrices, and finished
@@ -512,7 +513,6 @@ REPORTERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {
 
 register_worker_state(
     "repro.sim.spec.REPORTERS",
-    kind="frozen",
     note="reporter dispatch table; import-time constant",
 )
 
@@ -527,7 +527,6 @@ SPEC_HARNESSES: Dict[str, Callable[..., ExperimentSpec]] = {}
 
 register_worker_state(
     "repro.sim.spec.SPEC_HARNESSES",
-    kind="frozen",
     note="harness registry, populated by import-time decorators only",
 )
 

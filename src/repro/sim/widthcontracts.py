@@ -1,9 +1,10 @@
-"""Runtime width-contract checks (the ``dtype`` family's dynamic half).
+"""Runtime width-contract checks.
 
-simlint's ``dtype`` rules prove statically that narrow storage is only
-fed guarded values; this module cross-validates the same declarations
-(:data:`repro.sim.constants.WIDTH_CONTRACTS`) *dynamically* on sanitized
-runs, mirroring the :class:`~repro.cache.sanitizer.CacheSanitizer`
+This module checks the declared storage widths
+(:data:`repro.sim.constants.WIDTH_CONTRACTS`) on sanitized runs: a
+narrow field fed an unguarded wide value fails here, not in a static
+pass (DESIGN.md §9 maps the retired static rules to these checks). It
+mirrors the :class:`~repro.cache.sanitizer.CacheSanitizer`
 pattern: read-only assertions, a where-prefixed
 :class:`~repro.errors.SanitizerError` on violation, and bit-identical
 results — :func:`check_width_contracts` only ever computes maxima over

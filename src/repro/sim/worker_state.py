@@ -1,32 +1,22 @@
-"""Registry of module-level mutable state + the worker-drift guard.
+"""Registry of import-time constant state + the worker-drift guard.
 
-The parallel sweep fabric assumes worker-executed code is pure apart
-from a handful of *documented per-process caches* (the prepared-run
-LRU, the artifact-store handle map, the lazily-built kernel library).
-This module is the single source of truth for that assumption, shared
-by two consumers:
+The parallel sweep fabric assumes worker-executed code never changes
+the dispatch tables every worker reads (the policy registry, the kernel
+table, the app factories, the spec and reporter registries). Each of
+those tables is registered here, at import time of its owning module,
+next to the state it describes.
 
-- the simlint ``par`` family (:mod:`repro.analysis.parsafety`) reads
-  :func:`registered_cache_names` as its mutation allowlist — a cache
-  that is not registered here is a finding, so the static analyzer and
-  the runtime can never disagree about what is sanctioned;
-- :class:`WorkerStateGuard` (enabled via ``REPRO_WORKER_GUARD=1``)
-  hashes the ``frozen`` entries at worker task boundaries and raises
-  :class:`WorkerStateError` on drift, catching the races the static
-  pass cannot see (dynamic registration, C-extension writes).
+:class:`WorkerStateGuard` (enabled via ``REPRO_WORKER_GUARD=1``) hashes
+every registered entry structurally at worker task boundaries and
+raises :class:`WorkerStateError` on drift, or when an entry no longer
+resolves (a registration whose binding was renamed or deleted).
 
-Entries come in two kinds:
-
-- ``cache`` — module state that legally varies per process (memoized
-  builds, handle maps). The static analyzer permits mutations of these
-  names; the guard ignores them.
-- ``frozen`` — registries that must be import-time constants in every
-  worker (kernel dispatch tables, app factories). The guard hashes
-  them structurally and any change between task boundaries raises.
-
-Registration happens at import time of the owning module, next to the
-state it describes, so the registry is populated exactly when the
-state exists.
+Per-process caches (the prepared-run LRU, store handles, the kernel
+library handle) are not registered: they legally differ between
+processes. That they never change a row is checked at run time, by
+requiring identical rows from ``jobs=1``, ``jobs=N`` and the spawn
+start method (``tests/sim/test_parallel.py`` and CI's spawn ``cmp``
+leg).
 """
 
 from __future__ import annotations
@@ -35,7 +25,7 @@ import hashlib
 import importlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "GUARD_ENV",
@@ -44,22 +34,20 @@ __all__ = [
     "WorkerStateGuard",
     "register_worker_state",
     "registered_state",
-    "registered_cache_names",
     "guard_boundary",
     "reset_guard",
 ]
 
-#: Set to ``1`` to hash frozen worker state at every task boundary.
+#: Set to ``1`` to hash registered worker state at every task boundary.
 GUARD_ENV = "REPRO_WORKER_GUARD"
 
 
 @dataclass(frozen=True)
 class StateEntry:
-    """One registered piece of module-level mutable state."""
+    """One registered import-time constant."""
 
-    name: str                 # dotted, e.g. "repro.sim.parallel._PREPARED_CACHE"
-    kind: str                 # "cache" (may mutate) | "frozen" (must not)
-    note: str                 # why it exists / why it is safe
+    name: str                 # dotted, e.g. "repro.sim.parallel.APP_FACTORIES"
+    note: str                 # why it must stay constant
     getter: Optional[Callable[[], object]] = None  # test hook
 
     def resolve(self) -> object:
@@ -75,15 +63,11 @@ _REGISTRY: Dict[str, StateEntry] = {}
 
 def register_worker_state(
     name: str,
-    kind: str = "cache",
     note: str = "",
     getter: Optional[Callable[[], object]] = None,
 ) -> None:
-    """Declare one module-level state object (import-time, idempotent)."""
-    if kind not in ("cache", "frozen"):
-        raise ValueError(f"kind must be 'cache' or 'frozen', got {kind!r}")
-    _REGISTRY[name] = StateEntry(name=name, kind=kind, note=note,
-                                 getter=getter)
+    """Declare one import-time constant (import-time, idempotent)."""
+    _REGISTRY[name] = StateEntry(name=name, note=note, getter=getter)
 
 
 def registered_state() -> List[StateEntry]:
@@ -91,16 +75,9 @@ def registered_state() -> List[StateEntry]:
     return sorted(_REGISTRY.values(), key=lambda entry: entry.name)
 
 
-def registered_cache_names() -> FrozenSet[str]:
-    """Dotted names the ``par`` analyzer may see mutated."""
-    return frozenset(
-        entry.name for entry in _REGISTRY.values() if entry.kind == "cache"
-    )
-
-
 # ----------------------------------------------------------------------
 # Structural hashing. repr() of a dict of classes embeds memory
-# addresses, so frozen entries are described structurally: containers by
+# addresses, so entries are described structurally: containers by
 # sorted (key, description) pairs, callables/classes by qualified name.
 # ----------------------------------------------------------------------
 
@@ -133,11 +110,12 @@ def _digest(obj: object) -> str:
 
 
 class WorkerStateError(RuntimeError):
-    """Registered frozen state drifted between worker task boundaries."""
+    """Registered state drifted between worker task boundaries, or a
+    registration no longer resolves."""
 
 
 class WorkerStateGuard:
-    """Hashes frozen entries at task boundaries; raises on drift.
+    """Hashes registered entries at task boundaries; raises on drift.
 
     The first boundary records the baseline; every later boundary
     re-hashes and compares. One guard per worker process is enough —
@@ -154,15 +132,15 @@ class WorkerStateGuard:
     def snapshot(self) -> Dict[str, str]:
         out: Dict[str, str] = {}
         for entry in registered_state():
-            if entry.kind != "frozen":
-                continue
             try:
-                out[entry.name] = _digest(entry.resolve())
-            except Exception:
-                # An unimportable entry is a stale registration; the
-                # static pass (par-allowlist-stale) reports it — the
-                # runtime guard only compares what resolves.
-                continue
+                value = entry.resolve()
+            except Exception as exc:
+                raise WorkerStateError(
+                    f"registered worker state {entry.name} does not "
+                    f"resolve ({type(exc).__name__}: {exc}); remove or "
+                    f"update the registration"
+                ) from exc
+            out[entry.name] = _digest(value)
         return out
 
     def check(self, boundary: str) -> None:
@@ -176,14 +154,14 @@ class WorkerStateGuard:
         )
         if drifted:
             raise WorkerStateError(
-                f"frozen worker state drifted at {boundary}: "
+                f"worker state drifted at {boundary}: "
                 f"{', '.join(drifted)} — worker-executed code mutated a "
                 f"registry that must stay an import-time constant"
             )
 
 
-# Per-process guard handle (itself a registered cache: lazily built,
-# legally different in every worker).
+# Per-process guard handle (lazily built, legally different in every
+# worker).
 _GUARD: Optional[WorkerStateGuard] = None
 
 
@@ -201,10 +179,3 @@ def reset_guard() -> None:
     """Forget the baseline (test hook)."""
     global _GUARD
     _GUARD = None
-
-
-register_worker_state(
-    "repro.sim.worker_state._GUARD",
-    kind="cache",
-    note="per-process drift-guard handle, built on first boundary",
-)

@@ -194,6 +194,23 @@ class TestDeterminism:
         """)
         assert "determinism-random" in rules_of(findings)
 
+    def test_unseeded_random_behind_pool_boundary(self, tmp_path):
+        # A process-global draw inside a pool worker: per-worker RNG
+        # state would make rows depend on task placement. The rule
+        # covers whole modules, so worker-reachable code is included.
+        findings = lint_source(tmp_path, """
+            import random
+            from concurrent.futures import ProcessPoolExecutor
+
+            def sweep(tasks):
+                with ProcessPoolExecutor(max_workers=2) as pool:
+                    return list(pool.map(work, tasks))
+
+            def work(task):
+                return task + random.random()
+        """)
+        assert "determinism-random" in rules_of(findings)
+
     def test_seeded_rng_is_clean(self, tmp_path):
         findings = lint_source(tmp_path, """
             import numpy as np
@@ -508,20 +525,19 @@ class TestRunner:
         assert main([str(module), "--skip", "determinism"]) == 0
 
     def test_main_disable_abi_round_trip(self, tmp_path, capsys):
-        # A module with a seeded dtype-overflow: the dtype family
-        # reports it next to the ckernels status line, and
+        # A replay-path function with a platform-default arange: the
+        # dtype family reports it next to the ckernels status line, and
         # ``--disable dtype`` (the CI spelling, alias of --skip) makes
         # the same file lint clean.
         module = tmp_path / "mod.py"
         module.write_text(
             "import numpy as np\n\n"
-            "def tally(idx, n):\n"
-            "    counts = np.zeros(n, dtype=np.uint8)\n"
-            "    counts[idx] = np.zeros(n, dtype=np.int64)\n"
+            "def replay(n):\n"
+            "    return np.arange(n)\n"
         )
         assert main([str(module)]) == 1
         out = capsys.readouterr().out
-        assert "[dtype-overflow]" in out
+        assert "[dtype-unspecified]" in out
         assert "ckernels:" in out
         assert main([str(module), "--disable", "dtype", "--quiet"]) == 0
         assert capsys.readouterr().out == ""

@@ -156,3 +156,67 @@ class TestAtomicity:
                      if p.name.startswith(".tmp")]
         assert leftovers == []
         assert store.get("graph", key)["meta"]["v"] == 1
+
+    def test_truncated_array_file_is_a_miss(self, store):
+        key = {"k": 10}
+        entry = store.put(
+            "graph", key, arrays={"data": np.arange(4096, dtype=np.int64)}
+        )
+        array_file = entry / "data.npy"
+        array_file.write_bytes(array_file.read_bytes()[:1024])
+        assert store.get("graph", key) is None
+        assert store.counters["graph"]["misses"] == 1
+
+    def test_writer_dying_mid_put_leaves_no_entry(self, store, monkeypatch):
+        # Everything under the root is staged in a .tmp sibling and
+        # renamed into place, so a writer killed after the meta file and
+        # before the arrays leaves nothing a reader can see.
+        key = {"k": 11}
+
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt("writer killed")
+
+        monkeypatch.setattr(artifacts.np, "save", die)
+        with pytest.raises(KeyboardInterrupt):
+            store.put("graph", key, arrays={"data": np.arange(8)},
+                      meta={"n": 8})
+        monkeypatch.undo()
+        assert store.get("graph", key) is None
+        assert not store.entry_dir("graph", key).exists()
+
+    def test_two_processes_put_one_complete_entry(self, store):
+        import multiprocessing
+
+        key = {"k": 12}
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(
+                target=_racing_put, args=(store.root, key, n, barrier)
+            )
+            for n in (50_000, 70_000)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(60)
+            assert writer.exitcode == 0
+        entry = store.get("graph", key)
+        n = entry["meta"]["n"]
+        assert n in (50_000, 70_000)
+        # Meta and arrays come from the same writer.
+        for name in ("a", "b"):
+            assert np.array_equal(entry["arrays"][name], np.arange(n))
+        leftovers = [
+            p for p in store.entry_dir("graph", key).parent.iterdir()
+            if p.name.startswith(".tmp")
+        ]
+        assert leftovers == []
+
+
+def _racing_put(root, key, n, barrier):
+    barrier.wait()
+    ArtifactStore(root).put(
+        "graph", key,
+        arrays={"a": np.arange(n), "b": np.arange(n)}, meta={"n": n},
+    )

@@ -140,3 +140,42 @@ class TestHarnessSmoke:
         rows = exp.table4_preprocessing(scale="tiny", graphs=("URAND",))
         assert rows[0]["popt_preprocessing_s"] >= 0
         assert rows[0]["pagerank_execution_s"] > 0
+
+
+class TestFig11Errors:
+    """fig11 records only the paper's infeasible point (the Rereference
+    Matrix takes every LLC way) in its row; any other failure raises."""
+
+    def test_infeasible_reservation_records_none_and_message(
+        self, monkeypatch
+    ):
+        from repro.cache.config import scaled_hierarchy
+
+        def one_way_llc(scale):
+            base = scaled_hierarchy(scale)
+            return base.__class__(
+                llc=base.llc.with_ways(1), l1=base.l1, l2=base.l2,
+                dram_latency_ns=base.dram_latency_ns,
+                frequency_ghz=base.frequency_ghz,
+                num_nuca_banks=base.num_nuca_banks,
+            )
+
+        monkeypatch.setattr(exp, "scaled_hierarchy", one_way_llc)
+        (row,) = exp.fig11_popt_se_scaling(
+            vertex_counts=(1024,), scale="tiny"
+        )
+        for policy in ("P-OPT", "P-OPT-SE"):
+            assert row[f"{policy}_missred"] is None
+            assert "Rereference Matrix needs" in row[f"{policy}_ways"]
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        real = exp.simulate_prepared
+
+        def broken(prepared, policy, hierarchy, **kwargs):
+            if policy == "P-OPT":
+                raise RuntimeError("kernel exploded")
+            return real(prepared, policy, hierarchy, **kwargs)
+
+        monkeypatch.setattr(exp, "simulate_prepared", broken)
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            exp.fig11_popt_se_scaling(vertex_counts=(1024,), scale="tiny")

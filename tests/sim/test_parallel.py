@@ -1,19 +1,36 @@
 """Parallel sweep tests: worker results are bit-identical to serial,
-ordering is deterministic, and the CLI plumbs ``--jobs`` through."""
+ordering is deterministic, and the CLI plumbs ``--jobs`` through.
+
+Row identity across ``jobs=1``, ``jobs=2`` and the spawn start method is
+the run-time check on worker purity; :class:`TestSeededWorkerBugs` shows
+it catches state captured at import and module state mutated per task.
+"""
+
+import importlib
+import sys
 
 import pytest
 
-from repro.sim import parallel
+from repro.sim import parallel, spec
 from repro.sim.parallel import (
     APP_FACTORIES,
     SweepTask,
     policy_chunks,
-    run_sweep,
     run_task,
-    sweep_rows,
 )
+from repro.sim.spec import ExperimentSpec, run_spec
 
 POLICIES = ("LRU", "SRRIP", "DRRIP", "OPT")
+
+
+def sweep(graphs, policies, scale="small", jobs=1, chunk_size=2):
+    return run_spec(
+        ExperimentSpec(
+            name="sweep", graphs=tuple(graphs), policies=tuple(policies),
+            scale=scale, chunk_size=chunk_size,
+        ),
+        jobs=jobs,
+    )
 
 
 class TestPolicyChunks:
@@ -57,13 +74,9 @@ class TestSweepDeterminism:
     """jobs=N output must be byte-identical to jobs=1 output."""
 
     def test_jobs_parallel_matches_serial(self):
-        serial = sweep_rows(
-            ["URAND", "KRON"], POLICIES, scale="small", jobs=1
-        )
-        parallel = sweep_rows(
-            ["URAND", "KRON"], POLICIES, scale="small", jobs=4
-        )
-        assert serial == parallel
+        serial = sweep(["URAND", "KRON"], POLICIES, jobs=1)
+        fanned = sweep(["URAND", "KRON"], POLICIES, jobs=2)
+        assert serial == fanned
         # Ordering: graph-major, then policy order as declared.
         assert [r["policy"] for r in serial[: len(POLICIES)]] == list(
             POLICIES
@@ -71,19 +84,23 @@ class TestSweepDeterminism:
         assert serial[0]["graph"] == "URAND"
         assert serial[len(POLICIES)]["graph"] == "KRON"
 
-    def test_single_task_stays_serial(self):
-        tasks = [SweepTask(graph="URAND", policies=("LRU",))]
-        assert run_sweep(tasks, jobs=8) == run_sweep(tasks, jobs=1)
+    def test_single_task_stays_serial(self, monkeypatch):
+        serial = sweep(["URAND"], ["LRU"], jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single task must not start a pool")
+
+        monkeypatch.setattr(spec, "ProcessPoolExecutor", no_pool)
+        assert sweep(["URAND"], ["LRU"], jobs=8) == serial
 
     def test_spawn_matches_serial(self, monkeypatch):
         # spawn workers rebuild state from imports rather than a forked
         # snapshot; identical rows prove nothing leans on fork-captured
-        # module state (the property the simlint par family guards).
-        serial = sweep_rows(["URAND"], ("LRU", "DRRIP"), scale="tiny",
-                            jobs=1)
+        # module state.
+        serial = sweep(["URAND"], ("LRU", "DRRIP"), scale="tiny", jobs=1)
         monkeypatch.setenv(parallel.START_METHOD_ENV, "spawn")
-        spawned = sweep_rows(["URAND"], ("LRU", "DRRIP"), scale="tiny",
-                             jobs=2, chunk_size=1)
+        spawned = sweep(["URAND"], ("LRU", "DRRIP"), scale="tiny",
+                        jobs=2, chunk_size=1)
         assert spawned == serial
 
     def test_pool_context_invalid_method_raises(self, monkeypatch):
@@ -145,15 +162,14 @@ class TestChunkEdgeCases:
             ("LRU", "DRRIP")
         ]
 
-    def test_sweep_rows_empty_policies(self):
-        assert sweep_rows(["URAND"], [], scale="tiny") == []
+    def test_spec_without_policies_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentSpec(name="empty", graphs=("URAND",), policies=())
 
-    def test_sweep_rows_single_task(self):
-        rows = sweep_rows(
-            ["URAND"], ["LRU"], scale="tiny", jobs=1, chunk_size=8
-        )
+    def test_spec_single_task(self):
+        rows = sweep(["URAND"], ["LRU"], scale="tiny", jobs=1, chunk_size=8)
         assert [row["policy"] for row in rows] == ["LRU"]
-        assert rows == sweep_rows(
+        assert rows == sweep(
             ["URAND"], ["LRU"], scale="tiny", jobs=2, chunk_size=8
         )
 
@@ -242,3 +258,68 @@ class TestTechniqueValidation:
             validate_technique("tiling:0")
         with pytest.raises(ValueError):
             validate_technique("tiling:x")
+
+
+SEEDED = "tests.sim.seeded_workers"
+
+#: A 4-set, 2-way LLC: tiny-scale working sets overflow it, so LRU and
+#: BIP rows differ.
+SEEDED_LLC = (("4x2", 4, 2),)
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """Import the seeded-bug module with its variable unset; restore the
+    policy registry afterwards."""
+    from repro.policies import registry
+
+    monkeypatch.delenv("SEEDED_WORKER_POLICY", raising=False)
+    before = dict(registry._FACTORIES)
+    sys.modules.pop(SEEDED, None)
+    module = importlib.import_module(SEEDED)
+    yield module
+    registry._FACTORIES.clear()
+    registry._FACTORIES.update(before)
+    sys.modules.pop(SEEDED, None)
+
+
+def seeded_sweep(graphs, policies, jobs):
+    return run_spec(
+        ExperimentSpec(
+            name="seeded", graphs=graphs, policies=policies, scale="tiny",
+            llc=SEEDED_LLC, chunk_size=1,
+        ),
+        jobs=jobs,
+    )
+
+
+class TestSeededWorkerBugs:
+    """The worker-purity bugs the row-identity checks must catch."""
+
+    def test_import_time_environ_read_splits_fork_and_spawn(
+        self, seeded, monkeypatch
+    ):
+        monkeypatch.setattr(spec, "run_task", seeded.run_task)
+        # The parent imported the module before the variable was set.
+        monkeypatch.setenv(seeded.ENV, "BIP")
+        policies = ("Seeded-ImportEnv", "Seeded-CallEnv")
+        serial = seeded_sweep(("URAND",), policies, jobs=1)
+        monkeypatch.setenv(parallel.START_METHOD_ENV, "fork")
+        forked = seeded_sweep(("URAND",), policies, jobs=2)
+        monkeypatch.setenv(parallel.START_METHOD_ENV, "spawn")
+        spawned = seeded_sweep(("URAND",), policies, jobs=2)
+        assert forked == serial
+        assert spawned != serial
+        # Only the import-time read differs; reading at call time is
+        # identical under every start method.
+        assert spawned[0] != serial[0]
+        assert spawned[1] == serial[1]
+
+    def test_module_counter_splits_jobs(self, seeded, monkeypatch):
+        monkeypatch.setenv(parallel.START_METHOD_ENV, "fork")
+        graphs = ("URAND", "KRON")
+        serial = seeded_sweep(graphs, ("Seeded-Counter",), jobs=1)
+        # Workers fork from a parent whose counter has moved on.
+        fanned = seeded_sweep(graphs, ("Seeded-Counter",), jobs=2)
+        assert fanned != serial
+        assert fanned[0]["llc_misses"] != serial[0]["llc_misses"]

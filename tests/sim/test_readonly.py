@@ -2,9 +2,10 @@
 
 Everything memoized across policy replays or rehydrated from the
 artifact store is frozen (``writeable=False``) at creation: in-place
-mutation — the race the simlint ``par`` family flags statically — must
-raise immediately at runtime too. ``.copy()`` is the documented escape
-hatch and must stay writeable.
+mutation raises immediately, and so does turning the write flag back on
+with ``setflags(write=True)`` (each array is a view whose memory owner
+is read-only). ``.copy()`` is the documented escape hatch and must stay
+writeable.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from repro.apps import PageRank
 from repro.cache import CacheConfig, HierarchyConfig
 from repro.graph import uniform_random
-from repro.memory.trace import decode_trace
+from repro.memory.trace import decode_trace, read_only
 from repro.sim import build_private_filter, prepare_run
 from repro.sim.artifacts import ArtifactStore
 from repro.sim.engine import get_private_filter
@@ -45,6 +46,8 @@ class TestFilterChannels:
             assert not channel.flags.writeable
             with pytest.raises(ValueError):
                 channel[0] = 0
+            with pytest.raises(ValueError):
+                channel.setflags(write=True)
 
     def test_memoized_products_are_read_only(self, filt):
         config = small_hierarchy().llc
@@ -62,6 +65,8 @@ class TestFilterChannels:
             assert not product.flags.writeable
             with pytest.raises(ValueError):
                 product[...] = 0
+            with pytest.raises(ValueError):
+                product.setflags(write=True)
 
     def test_copy_is_writeable(self, filt):
         scratch = filt.lines.copy()
@@ -77,6 +82,8 @@ class TestDecodeChannels:
             assert not channel.flags.writeable
             with pytest.raises(ValueError):
                 channel[0] = 0
+            with pytest.raises(ValueError):
+                channel.setflags(write=True)
 
 
 class TestStoreLoads:
@@ -89,6 +96,8 @@ class TestStoreLoads:
         assert not data.flags.writeable
         with pytest.raises(ValueError):
             data[0] = 7
+        with pytest.raises(ValueError):
+            data.setflags(write=True)
         assert data.copy().flags.writeable
 
     def test_rehydrated_filter_read_only(self, tmp_path, prepared):
@@ -104,3 +113,18 @@ class TestStoreLoads:
             assert not channel.flags.writeable
             with pytest.raises(ValueError):
                 channel[0] = 0
+
+
+
+class TestReadOnlyHelper:
+    def test_owned_and_view_arrays(self):
+        # numpy lets an array that owns its memory, or a view of a
+        # writeable owner, turn its write flag back on; read_only's
+        # result must refuse in both cases.
+        owned = read_only(np.arange(8))
+        with pytest.raises(ValueError):
+            owned.setflags(write=True)
+        window = read_only(np.arange(16)[4:12])
+        with pytest.raises(ValueError):
+            window.setflags(write=True)
+        assert window.tolist() == list(range(4, 12))

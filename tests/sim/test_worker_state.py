@@ -1,4 +1,4 @@
-"""Tests for the worker mutable-state registry and drift guard."""
+"""Tests for the worker-state registry and drift guard."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.sim.worker_state import (
     WorkerStateError,
     WorkerStateGuard,
     guard_boundary,
-    register_worker_state,
-    registered_cache_names,
     registered_state,
     reset_guard,
 )
@@ -29,27 +27,16 @@ class TestRegistry:
         names = {entry.name for entry in registered_state()}
         assert {
             "repro.policies.registry._FACTORIES",
-            "repro.policies.registry._REPLAY_KERNELS",
-            "repro.sim.artifacts._STORES",
-            "repro.sim.ckernels._LIB",
-            "repro.sim.ckernels._BUILD_ERROR",
             "repro.sim.kernels.KERNEL_TABLE",
             "repro.sim.parallel.APP_FACTORIES",
-            "repro.sim.parallel._PREPARED_CACHE",
             "repro.sim.spec.SPEC_HARNESSES",
             "repro.sim.spec.REPORTERS",
         } <= names
 
-    def test_kinds_partition_caches_from_frozen(self):
-        _import_fabric()
-        caches = registered_cache_names()
-        assert "repro.sim.parallel._PREPARED_CACHE" in caches
-        assert "repro.sim.parallel.APP_FACTORIES" not in caches
-        assert "repro.sim.kernels.KERNEL_TABLE" not in caches
-
     def test_every_entry_resolves(self):
-        # A registration that no longer resolves is exactly the drift
-        # par-allowlist-stale exists for; the live tree must have none.
+        # A registration that no longer resolves makes the guard raise
+        # (TestGuard.test_unresolvable_entry_raises); the live tree must
+        # have none.
         _import_fabric()
         for entry in registered_state():
             entry.resolve()
@@ -58,10 +45,6 @@ class TestRegistry:
         _import_fabric()
         for entry in registered_state():
             assert entry.note, f"{entry.name} registered without a note"
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            register_worker_state("x.y", kind="mutable")
 
 
 class TestStructuralHash:
@@ -101,8 +84,7 @@ class TestGuard:
             worker_state._REGISTRY,
             "test.drifting",
             StateEntry(
-                name="test.drifting", kind="frozen", note="test",
-                getter=lambda: state,
+                name="test.drifting", note="test", getter=lambda: state,
             ),
         )
         monkeypatch.setenv(GUARD_ENV, "1")
@@ -112,35 +94,17 @@ class TestGuard:
         with pytest.raises(WorkerStateError, match="test.drifting"):
             guard_boundary("task-start")
 
-    def test_cache_mutation_is_ignored(self, monkeypatch):
-        state = {"k": 1}
+    def test_unresolvable_entry_raises(self, monkeypatch):
+        # A registration whose binding was renamed or deleted is a
+        # stale entry: the guard names it instead of skipping it.
         monkeypatch.setitem(
             worker_state._REGISTRY,
-            "test.cache",
-            StateEntry(
-                name="test.cache", kind="cache", note="test",
-                getter=lambda: state,
-            ),
+            "repro.sim.parallel.GONE",
+            StateEntry(name="repro.sim.parallel.GONE", note="test"),
         )
         monkeypatch.setenv(GUARD_ENV, "1")
-        guard_boundary("task-start")
-        state["k"] = 2
-        guard_boundary("task-end")  # caches legally vary: no raise
-
-    def test_unresolvable_entry_skipped(self, monkeypatch):
-        def boom():
-            raise ImportError("gone")
-
-        monkeypatch.setitem(
-            worker_state._REGISTRY,
-            "test.gone",
-            StateEntry(
-                name="test.gone", kind="frozen", note="test", getter=boom
-            ),
-        )
-        monkeypatch.setenv(GUARD_ENV, "1")
-        guard_boundary("task-start")
-        guard_boundary("task-end")
+        with pytest.raises(WorkerStateError, match="parallel.GONE"):
+            guard_boundary("task-start")
 
 
 class TestGuardedSweep:
