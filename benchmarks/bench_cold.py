@@ -1,4 +1,4 @@
-"""Cold-path sorts, fill draws and RM encode: new paths vs the former ones.
+"""Cold-path sorts, draws and RM encode: new paths vs the former ones.
 
 A cold ``compare`` run used to spend most of its time building the
 graph: ``from_edges`` row-sorted the edge list with
@@ -10,19 +10,23 @@ numpy's MT19937 loaded with ``random.Random(seed)``'s state instead of
 one Python ``random()`` call per access. The Rereference Matrix encode
 computes each epoch's distance to the next referencing epoch as a
 running minimum over the reversed epoch axis, in place at int32, instead
-of one strided pass per epoch column.
+of one strided pass per epoch column. The power-law generator behind
+DBP draws its endpoints through a guide table over the CDF instead of
+``Generator.choice(p=...)``'s binary search per draw, with the same
+uniforms and so the same indices.
 
 This bench times each new path against the former implementation,
 kept below as the oracle, on DBP at large scale (the stand-in graph of
 the ``compare_cold`` workload). Every row asserts identical outputs.
 ``results/BENCH_cold.json`` records the timings; CI asserts identity
-and floors of 5x for the graph build, 4x for the fill draws and 1.5x
-for the RM encode (all conservative: measured ~30-40x, ~9-13x and ~2x on a
-2-vCPU Intel Xeon VM).
+and floors of 5x for the graph build, 4x for the fill draws, 1.5x
+for the RM encode and 1.3x for the power-law draw (all conservative:
+measured ~30-40x, ~9-13x, ~2x and ~2x on a 2-vCPU Intel Xeon VM).
 
 Timing protocol: the raw edge array is captured once from the
-``from_edges`` call ``datasets.load("DBP", "large")`` makes; each path
-takes the best of three runs.
+``from_edges`` call ``datasets.load("DBP", "large")`` makes, and the
+first endpoint draw's probabilities, size and generator state from the
+same call; each path takes the best of three runs.
 """
 
 import random
@@ -33,6 +37,7 @@ import numpy as np
 from common import run_once, write_cold_report
 
 from repro.graph import datasets, from_edges, generators
+from repro.graph.generators import _weighted_draw
 from repro.popt.rereference import (
     _encode_entries,
     _reference_events,
@@ -54,6 +59,7 @@ REPEATS = 3
 BUILD_FLOOR = 5.0
 DRAWS_FLOOR = 4.0
 ENCODE_FLOOR = 1.5
+POWER_LAW_DRAW_FLOOR = 1.3
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +112,17 @@ def line_reference_oracle(reference_graph, elems_per_line, num_lines):
         lines_sorted, np.arange(num_lines + 1, dtype=np.int64), side="left"
     ).astype(np.int64)
     return offsets, outer_sorted
+
+
+def _rng_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def weighted_draw_oracle(state, p, size):
+    rng = _rng_at(state)
+    return rng.choice(len(p), size=size, p=p), rng.bit_generator.state
 
 
 def fill_draws_oracle(seed, n):
@@ -179,23 +196,39 @@ def _row(stage, new_fn, old_fn, size, identical=_identical):
     }
 
 
-def _captured_build_call():
-    """The exact ``from_edges`` arguments ``datasets.load`` uses."""
+def _captured_calls():
+    """The exact ``from_edges`` arguments ``datasets.load`` uses, and the
+    first endpoint draw's (generator state, probabilities, size)."""
     calls = []
+    draws = []
 
     def capture(edges, num_vertices=None, **kwargs):
         calls.append((np.asarray(edges, dtype=np.int64), num_vertices,
                       kwargs))
         return from_edges(edges, num_vertices, **kwargs)
 
-    with mock.patch.object(generators, "from_edges", capture):
+    def capture_draw(rng, p, size):
+        draws.append((rng.bit_generator.state, p, size))
+        return _weighted_draw(rng, p, size)
+
+    with mock.patch.object(generators, "from_edges", capture), \
+            mock.patch.object(generators, "_weighted_draw", capture_draw):
         datasets.load(GRAPH, scale=SCALE, seed=SEED)
     (call,) = calls
-    return call
+    return call, draws[0]
+
+
+def _draw_from(state, p, size):
+    rng = _rng_at(state)
+    return _weighted_draw(rng, p, size), rng.bit_generator.state
+
+
+def _same_draw(got, want):
+    return np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def cold_path_rows():
-    edges, num_vertices, kwargs = _captured_build_call()
+    (edges, num_vertices, kwargs), (state, p, size) = _captured_calls()
     dedup = kwargs["dedup"]
     drop_self_loops = kwargs["drop_self_loops"]
 
@@ -229,6 +262,13 @@ def cold_path_rows():
                                          num_lines),
         lambda: line_reference_oracle(reference, ELEMS_PER_LINE, num_lines),
         reference.num_edges,
+    ))
+    rows.append(_row(
+        "power_law_draw",
+        lambda: _draw_from(state, p, size),
+        lambda: weighted_draw_oracle(state, p, size),
+        size,
+        identical=_same_draw,
     ))
     rows.append(_row(
         "fill_draws",
@@ -274,3 +314,5 @@ def bench_cold_path(benchmark):
     assert by_stage["graph_build"]["speedup"] >= BUILD_FLOOR, by_stage
     assert by_stage["fill_draws"]["speedup"] >= DRAWS_FLOOR, by_stage
     assert by_stage["rm_encode"]["speedup"] >= ENCODE_FLOOR, by_stage
+    assert by_stage["power_law_draw"]["speedup"] >= POWER_LAW_DRAW_FLOOR, \
+        by_stage

@@ -1,7 +1,8 @@
 """Application framework: graph kernels that emit their access streams.
 
 Each app is a real kernel (it computes correct algorithm results, which
-tests verify) that *also* constructs the memory access trace its
+tests verify, on demand when the trace does not depend on them) that
+*also* constructs the memory access trace its
 edge-processing loops would issue: streaming accesses to the CSR/CSC
 offsets and neighbor arrays, per-outer-vertex dense accesses, and the
 irregular per-neighbor accesses (``srcData``/``dstData``/frontier) whose
@@ -14,8 +15,9 @@ giving O(edges) numpy work instead of a Python loop per access.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from ..popt.topt import IrregularStream
 
 __all__ = [
     "AppInfo",
+    "Deferred",
     "PerEdgeAccess",
     "PreparedRun",
     "GraphApp",
@@ -70,6 +73,33 @@ class PerEdgeAccess:
     mask: Optional[np.ndarray] = None
 
 
+class Deferred(functools.partial):
+    """A reference answer computed on first read (a picklable thunk).
+
+    PR, tiled PR, CC and PB build their traces without the algorithm's
+    answer, so they hand ``PreparedRun`` one of these instead of the
+    value; nothing on the replay path reads it.
+    """
+
+
+class _ReferenceResult:
+    """``PreparedRun.reference_result``: a stored value, or a
+    :class:`Deferred` that is called on the first read and replaced by
+    its result."""
+
+    def __get__(self, run, owner=None):
+        if run is None:  # class access: the dataclass reads its default
+            return self
+        value = run.__dict__["_reference_result"]
+        if isinstance(value, Deferred):
+            value = run.__dict__["_reference_result"] = value()
+        return value
+
+    def __set__(self, run, value) -> None:
+        # The dataclass passes the descriptor itself as the default.
+        run.__dict__["_reference_result"] = None if value is self else value
+
+
 @dataclass
 class PreparedRun:
     """Everything the simulation driver needs for one kernel run.
@@ -86,7 +116,9 @@ class PreparedRun:
     layout: AddressSpace
     trace: MemoryTrace
     irregular_streams: List[IrregularStream]
-    reference_result: object = None
+    reference_result: object = field(
+        default=_ReferenceResult(), repr=False, compare=False
+    )
     details: Dict[str, object] = field(default_factory=dict)
     private_filters: Dict[object, object] = field(
         default_factory=dict, repr=False
@@ -126,30 +158,6 @@ class GraphApp:
         return self.info.name
 
 
-def _segmented_edge_ids(
-    topology: CSRGraph, order: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge indices grouped by outer vertex in iteration order.
-
-    Returns (edge_ids, outer_per_edge): ``edge_ids`` indexes
-    ``topology.neighbors`` and is ordered by the traversal.
-    """
-    degrees = topology.degrees()
-    ordered_degrees = degrees[order]
-    total = int(ordered_degrees.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    seg_starts = topology.offsets[:-1][order]
-    block_starts = np.zeros(len(order), dtype=np.int64)
-    np.cumsum(ordered_degrees[:-1], out=block_starts[1:])
-    position = np.arange(total, dtype=np.int64) - np.repeat(
-        block_starts, ordered_degrees
-    )
-    edge_ids = np.repeat(seg_starts, ordered_degrees) + position
-    outer_per_edge = np.repeat(order.astype(np.int64), ordered_degrees)
-    return edge_ids, outer_per_edge
-
-
 def traversal_trace(
     topology: CSRGraph,
     oa_span: ArraySpan,
@@ -174,46 +182,56 @@ def traversal_trace(
     only active vertices); each entry must appear at most once.
     """
     n = topology.num_vertices
-    if order is None:
+    storage_order = order is None
+    if storage_order:
         order = np.arange(n, dtype=np.int64)
+        degrees = topology.degrees()
     else:
         order = np.asarray(order, dtype=np.int64)
         if len(order) and (order.min() < 0 or order.max() >= n):
             raise SimulationError("order contains out-of-range vertices")
         if len(np.unique(order)) != len(order):
             raise SimulationError("order visits a vertex twice")
+        degrees = topology.degrees()[order]
 
-    edge_ids, outer_per_edge = _segmented_edge_ids(topology, order)
-    neighbors = topology.neighbors[edge_ids].astype(np.int64)
-    num_edges = len(edge_ids)
+    # Edges in traversal order: the k-th edge belongs to the
+    # vertex_of_edge[k]-th visited vertex, whose edges start at traversal
+    # position first_edge[v]. Every per-edge array derives from these two.
+    first_edge = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(degrees[:-1], out=first_edge[1:])
+    num_edges = int(first_edge[-1] + degrees[-1]) if len(order) else 0
+    vertex_of_edge = np.repeat(
+        np.arange(len(order), dtype=np.int64), degrees
+    )
+    if storage_order:
+        # Edge k of the traversal is edge k of the topology.
+        edge_ids = np.arange(num_edges, dtype=np.int64)
+        neighbors = topology.neighbors.astype(np.int64)
+    else:
+        edge_ids = (topology.offsets[order] - first_edge)[vertex_of_edge]
+        edge_ids += np.arange(num_edges, dtype=np.int64)
+        neighbors = topology.neighbors[edge_ids].astype(np.int64)
 
-    # Which per-edge accesses fire for each edge.
-    include: List[np.ndarray] = []
-    for access in per_edge:
-        if access.mask is None:
-            include.append(np.ones(num_edges, dtype=bool))
-        else:
-            mask = np.asarray(access.mask, dtype=bool)
-            include.append(mask[neighbors])
-
+    # Which per-edge accesses fire for each edge (None: every edge).
+    include: List[Optional[np.ndarray]] = [
+        None if access.mask is None
+        else np.asarray(access.mask, dtype=bool)[neighbors]
+        for access in per_edge
+    ]
+    # slot_end[k]: trace slots taken by the edges before edge k (an NA
+    # read plus the per-edge accesses that fire), so a vertex's edge
+    # slots total slot_end[first + degree] - slot_end[first].
     edge_sizes = np.ones(num_edges, dtype=np.int64)
     for flags in include:
-        edge_sizes += flags
+        edge_sizes += 1 if flags is None else flags
+    slot_end = np.zeros(num_edges + 1, dtype=np.int64)
+    np.cumsum(edge_sizes, out=slot_end[1:])
+    del edge_sizes
+    first_slot = slot_end[first_edge]
+    per_vertex_edge_len = slot_end[first_edge + degrees] - first_slot
 
-    degrees = topology.degrees()[order]
     has_dense = dense_span is not None
     # Per-vertex block length: OA + its edges' slots + optional dense.
-    if num_edges:
-        boundaries = np.zeros(len(order), dtype=np.int64)
-        np.cumsum(degrees[:-1], out=boundaries[1:])
-        vertex_of_edge = np.repeat(
-            np.arange(len(order), dtype=np.int64), degrees
-        )
-        per_vertex_edge_len = np.bincount(
-            vertex_of_edge, weights=edge_sizes, minlength=len(order)
-        ).astype(np.int64)
-    else:
-        per_vertex_edge_len = np.zeros(len(order), dtype=np.int64)
     block_len = 1 + per_vertex_edge_len + (1 if has_dense else 0)
     block_starts = np.zeros(len(order), dtype=np.int64)
     np.cumsum(block_len[:-1], out=block_starts[1:])
@@ -224,36 +242,28 @@ def traversal_trace(
     writes = np.zeros(total, dtype=bool)
     # Vertex IDs are bounded by num_vertices, which the csr.neighbors
     # width contract keeps below 2^31 (checked at graph build time).
-    vertices = np.repeat(order, block_len).astype(np.int32)
+    vertices = np.repeat(order.astype(np.int32), block_len)
 
     # Offsets-array read at each block start.
     addresses[block_starts] = oa_span.addr_of(order)
     pcs[block_starts] = AccessKind.OFFSETS
 
     if num_edges:
-        # Edge slot base positions: exclusive running sum of edge sizes,
-        # rebased to each vertex's block.
-        edge_cumsum = np.zeros(num_edges, dtype=np.int64)
-        np.cumsum(edge_sizes[:-1], out=edge_cumsum[1:])
-        # boundaries[v] < num_edges whenever degrees[v] > 0 (and the
-        # repeat count is 0 otherwise), so indexing is safe after a clamp.
-        safe_boundaries = np.minimum(boundaries, num_edges - 1)
-        rebase = edge_cumsum - np.repeat(
-            edge_cumsum[safe_boundaries], degrees
-        )
-        edge_base = block_starts[vertex_of_edge] + 1 + rebase
+        # Each edge's NA read: its slot rebased from the global running
+        # sum into its vertex's block, just past the OA read.
+        slot = (block_starts + 1 - first_slot)[vertex_of_edge]
+        slot += slot_end[:-1]
+        addresses[slot] = na_span.addr_of(edge_ids)
+        pcs[slot] = AccessKind.NEIGHBORS
 
-        addresses[edge_base] = na_span.addr_of(edge_ids)
-        pcs[edge_base] = AccessKind.NEIGHBORS
-
-        slot_offset = np.ones(num_edges, dtype=np.int64)
         for access, flags in zip(per_edge, include):
-            positions = edge_base[flags] + slot_offset[flags]
-            addresses[positions] = access.span.addr_of(neighbors[flags])
+            slot += 1 if flags is None else flags
+            positions = slot if flags is None else slot[flags]
+            targets = neighbors if flags is None else neighbors[flags]
+            addresses[positions] = access.span.addr_of(targets)
             pcs[positions] = access.pc
             if access.write:
                 writes[positions] = True
-            slot_offset += flags
 
     if has_dense:
         dense_positions = block_starts + block_len - 1

@@ -18,7 +18,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    Deferred,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    traversal_trace,
+)
 
 __all__ = ["ConnectedComponents", "shiloach_vishkin_reference"]
 
@@ -99,6 +106,6 @@ class ConnectedComponents(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=shiloach_vishkin_reference(graph),
+            reference_result=Deferred(shiloach_vishkin_reference, graph),
             details={"iterations_traced": self.num_trace_iterations},
         )

@@ -29,7 +29,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, MemoryTrace
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    Deferred,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    traversal_trace,
+)
 
 __all__ = ["PropagationBlockingBinning", "binning_reference"]
 
@@ -114,7 +121,9 @@ class PropagationBlockingBinning(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=binning_reference(graph, self.num_bins),
+            reference_result=Deferred(
+                binning_reference, graph, self.num_bins
+            ),
             details={"phi": self.phi, "num_bins": self.num_bins},
         )
 

@@ -30,7 +30,14 @@ from ..graph.tiling import segment_csr
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, MemoryTrace, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    Deferred,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    traversal_trace,
+)
 from .pagerank import pagerank_reference
 
 __all__ = ["TiledPageRank"]
@@ -119,7 +126,7 @@ class TiledPageRank(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=pagerank_reference(graph),
+            reference_result=Deferred(pagerank_reference, graph),
             details={
                 "num_tiles": self.num_tiles,
                 # Only the active tile's RM slice must stay resident.

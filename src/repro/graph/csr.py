@@ -12,6 +12,7 @@ produces the other direction; graph frameworks (and P-OPT) keep both.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
@@ -183,11 +184,27 @@ class CSRGraph:
 
         The result is cached: graph frameworks store both directions once
         (Section II-A), and P-OPT's Rereference Matrix construction and
-        T-OPT's oracle both walk the transpose repeatedly.
+        T-OPT's oracle both walk the transpose repeatedly. A graph holds
+        its transpose strongly; the transpose points back through a weak
+        reference, so the pair forms no cycle and is freed as soon as the
+        graph is dropped. A transpose that outlives its source rebuilds it.
         """
-        if not self._transpose_cache:
-            self._transpose_cache.append(self._build_transpose())
-        return self._transpose_cache[0]
+        if self._transpose_cache:
+            cached = self._transpose_cache[0]
+            if isinstance(cached, weakref.ref):
+                cached = cached()
+            if cached is not None:
+                return cached
+        transposed = self._build_transpose()
+        self._transpose_cache[:] = [transposed]
+        return transposed
+
+    def __getstate__(self) -> dict:
+        # A weak back-reference cannot be pickled; the transpose is
+        # rebuilt on demand, so pickles carry only the two arrays.
+        state = dict(self.__dict__)
+        state["_transpose_cache"] = []
+        return state
 
     def _packed_edges(self, reverse: bool = False) -> np.ndarray:
         """Edges as unsorted int64 ``src * n + dst`` keys (``dst * n +
@@ -210,7 +227,7 @@ class CSRGraph:
         keys = self._packed_edges(reverse=True)
         keys.sort()
         transposed = from_sorted_keys(keys, self.num_vertices)
-        transposed._transpose_cache.append(self)
+        transposed._transpose_cache.append(weakref.ref(self))
         return transposed
 
     def with_sorted_neighbors(self) -> "CSRGraph":

@@ -33,6 +33,40 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _weighted_draw(
+    rng: np.random.Generator, p: np.ndarray, size: int
+) -> np.ndarray:
+    """``rng.choice(len(p), size, p=p)``, bit for bit, in a few passes.
+
+    numpy draws ``size`` uniforms ``u`` and binary-searches each in the
+    normalized CDF: the answer is the first index whose CDF exceeds
+    ``u``. Here the same uniforms first land in one of ``K`` equal
+    buckets of ``[0, 1)``. A guide table holds, per bucket boundary
+    ``k / K``, the first index whose CDF exceeds it, so a draw in bucket
+    ``b`` has its answer in ``[guide[b], guide[b + 1]]``. A branch-free
+    search with power-of-two steps then finishes inside that range. The
+    steps only advance past CDF entries ``<= u``, so the result is
+    exactly numpy's. ``K`` is a power of two, so ``u * K`` and ``k / K``
+    are exact and ``floor(u * K)`` names the right bucket. The widest
+    bucket range sets the number of steps (two on the DBP stand-in).
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(size)
+    buckets = 1 << (4 * len(p) - 1).bit_length()
+    guide = cdf.searchsorted(
+        np.arange(buckets + 1, dtype=np.float64) / buckets, side="right"
+    )
+    width = int(np.diff(guide).max())
+    draws = guide[(uniforms * buckets).astype(np.intp)]
+    for bit in reversed(range(width.bit_length())):
+        step = 1 << bit
+        # Probes past the last index are clipped: their CDF is 1 > u.
+        probe = cdf.take(draws + (step - 1), mode="clip")
+        draws += (probe <= uniforms) * step
+    return draws
+
+
 def uniform_random(
     num_vertices: int, avg_degree: float = 16.0, seed: int = 0
 ) -> CSRGraph:
@@ -119,8 +153,8 @@ def power_law(
     weights = ranks ** (-1.0 / (exponent - 1.0))
     probabilities = weights / weights.sum()
     num_edges = int(round(num_vertices * avg_degree))
-    src = rng.choice(num_vertices, size=num_edges, p=probabilities)
-    dst = rng.choice(num_vertices, size=num_edges, p=probabilities)
+    src = _weighted_draw(rng, probabilities, num_edges)
+    dst = _weighted_draw(rng, probabilities, num_edges)
     # Shuffle hub IDs so hubs are not all clustered at low vertex IDs,
     # matching real inputs where vertex order is arbitrary.
     permutation = rng.permutation(num_vertices)

@@ -51,7 +51,10 @@ def graphs_and_params():
             st.lists(st.booleans(), min_size=n, max_size=n),
             st.booleans(),  # include dense span
             st.booleans(),  # include masked access
-            st.booleans(),  # subset order
+            # Outer-loop order: None (storage order), an explicit arange,
+            # every other vertex, or a shuffled, non-monotone subset.
+            st.sampled_from(["none", "arange", "subset", "shuffled"]),
+            st.integers(0, 2**32 - 1),  # shuffle seed
         )
     )
 
@@ -59,7 +62,7 @@ def graphs_and_params():
 @given(graphs_and_params())
 @settings(max_examples=60, deadline=None)
 def test_matches_reference_loop_nest(params):
-    n, edges, mask_bits, with_dense, with_masked, subset = params
+    n, edges, mask_bits, with_dense, with_masked, order_kind, seed = params
     graph = from_edges(edges, num_vertices=n, dedup=True)
     space = AddressSpace()
     oa = space.alloc("oa", n + 1, 64)
@@ -75,8 +78,11 @@ def test_matches_reference_loop_nest(params):
             PerEdgeAccess(span=irr, pc=AccessKind.IRREG_DATA, mask=mask)
         )
     order = np.arange(n, dtype=np.int64)
-    if subset:
+    if order_kind == "subset":
         order = order[::2].copy()
+    elif order_kind == "shuffled":
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)[: rng.integers(1, n + 1)]
 
     trace = traversal_trace(
         topology=graph,
@@ -84,7 +90,7 @@ def test_matches_reference_loop_nest(params):
         na_span=na,
         per_edge=per_edge,
         dense_span=dense,
-        order=order,
+        order=None if order_kind == "none" else order,
     )
     expected = reference_trace(graph, oa, na, per_edge, dense, order)
     assert len(trace) == len(expected)

@@ -1,12 +1,22 @@
 """Unit tests for the CSR graph core."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph, from_adjacency, from_edges, empty_graph
+from repro.graph import (
+    CSRGraph,
+    empty_graph,
+    from_adjacency,
+    from_edges,
+    uniform_random,
+)
 
 
 def edges_strategy(max_vertices=24, max_edges=80):
@@ -106,6 +116,43 @@ class TestTranspose:
         g = paper_example_graph
         assert g.transpose() is g.transpose()
         assert g.transpose().transpose() is g
+
+    def test_graph_and_transpose_free_without_a_collection(self):
+        # The transpose points back weakly: no cycle, so reference
+        # counting alone frees the pair.
+        gc.collect()
+        gc.disable()
+        try:
+            graph = uniform_random(256, avg_degree=4.0, seed=5)
+            transposed = graph.transpose()
+            assert transposed.transpose() is graph
+            alive = weakref.ref(graph)
+            del graph, transposed
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_transpose_outliving_its_source_rebuilds_it(self):
+        graph = uniform_random(256, avg_degree=4.0, seed=5)
+        offsets, neighbors = graph.offsets.copy(), graph.neighbors.copy()
+        transposed = graph.transpose()
+        del graph
+        gc.collect()
+        rebuilt = transposed.transpose()
+        assert np.array_equal(rebuilt.offsets, offsets)
+        assert np.array_equal(rebuilt.neighbors, neighbors)
+        assert transposed.transpose() is rebuilt
+        assert rebuilt.transpose() is transposed
+
+    def test_graphs_with_primed_caches_pickle(self, paper_example_graph):
+        graph = paper_example_graph
+        transposed = graph.transpose()
+        for original in (graph, transposed):
+            copy = pickle.loads(pickle.dumps(original))
+            assert np.array_equal(copy.offsets, original.offsets)
+            assert np.array_equal(copy.neighbors, original.neighbors)
+            back = copy.transpose().transpose()
+            assert back is copy
 
     def test_transpose_preserves_edge_multiset(self, small_random_graph):
         g = small_random_graph

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph import (
@@ -14,6 +16,7 @@ from repro.graph import (
     uniform_random,
 )
 from repro.graph.datasets import PAPER_GRAPHS, SCALES, graph_names, load
+from repro.graph.generators import _weighted_draw
 from repro.graph.properties import num_weakly_connected
 
 
@@ -74,6 +77,62 @@ class TestPowerLaw:
         g = power_law(2048, avg_degree=8.0, seed=4)
         hub = int(np.argmax(g.degrees()))
         assert 0 < hub < g.num_vertices - 1
+
+
+class TestWeightedDraw:
+    """The guide-table draw must be ``Generator.choice`` exactly: the
+    same indices and the same generator state afterwards."""
+
+    @staticmethod
+    def assert_matches_choice(seed, p, size):
+        want_rng = np.random.default_rng(seed)
+        want = want_rng.choice(len(p), size=size, p=p)
+        got_rng = np.random.default_rng(seed)
+        got = _weighted_draw(got_rng, p, size)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(
+        n=st.integers(1, 5000),
+        exponent=st.floats(1.5, 3.0),
+        size=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_law_weights(self, n, exponent, size, seed):
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+        weights = ranks ** (-1.0 / (exponent - 1.0))
+        self.assert_matches_choice(seed, weights / weights.sum(), size)
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+            min_size=1,
+            max_size=300,
+        ).filter(lambda w: sum(w) > 0),
+        size=st.integers(0, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_zeros_and_skew(self, weights, size, seed):
+        weights = np.array(weights, dtype=np.float64)
+        self.assert_matches_choice(seed, weights / weights.sum(), size)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 16384, 65536, 300001])
+    def test_sizes_around_powers_of_two(self, n):
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+        weights = ranks ** (-1.0 / 1.1)
+        self.assert_matches_choice(7, weights / weights.sum(), 4 * n)
+
+    def test_one_heavy_index_among_many_light_ones(self):
+        # One index takes almost all the mass, so the light tail's
+        # buckets are wide and the search takes many steps.
+        weights = np.full(20000, 1e-9)
+        weights[123] = 1.0
+        self.assert_matches_choice(3, weights / weights.sum(), 50000)
+
+    def test_empty_draw_leaves_the_state(self):
+        self.assert_matches_choice(5, np.array([0.25, 0.75]), 0)
 
 
 class TestCommunity:
